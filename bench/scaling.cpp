@@ -1,25 +1,19 @@
 /// \file scaling.cpp
-/// \brief Measures the near-linear claim of the incremental analysis layer
-/// (src/incr/) instead of asserting it.
+/// \brief Measures how the incremental analysis layer (src/incr/) scales
+/// instead of asserting it.
 ///
 /// For random and arithmetic networks from 1k to 50k gates, the optimization
-/// pipeline (cut rewriting -> balancing -> resubstitution) and T1 detection
-/// run twice on identical inputs:
-///   * incremental — analysis state delta-maintained by `IncrementalView`
-///     (`OptParams::incremental`, `T1DetectionParams::incremental_estimate`),
-///   * legacy     — the historical full-recompute discipline (O(n) refresh
-///     per commit, O(n) copy-sweep-plan probe per detection candidate),
-/// and the table reports wall time per stage plus the end-to-end speedup.
-/// Both paths execute the same decision logic, so the results are asserted
-/// identical (gates, depth, T1 cells, unified-JJ estimate) — a mismatch
-/// fails the run.
+/// pipeline (cut rewriting -> balancing -> resubstitution, one round) and T1
+/// detection (one round) run on each input, and the table reports wall time
+/// per stage. Opt and detection each have one engine, so their times are
+/// absolute; the full-recompute opt reference is pinned against the default
+/// by tests/opt_property_test.cpp.
 ///
-/// Phase assignment is raced separately on the post-detection network of each
-/// point: the view-seeded incremental scheduler
-/// (`PhaseAssignmentParams::incremental`) against the legacy full-sweep
-/// coordinate descent, with the resulting schedules asserted bit-identical
-/// (stages, sink, DFF estimate) — the incremental engine is an evaluation-
-/// skipping optimization, never an approximation.
+/// Phase assignment is raced on the post-detection network of each point:
+/// the view-seeded incremental scheduler (`PhaseAssignmentParams::incremental`)
+/// against the full-sweep coordinate descent, with the resulting schedules
+/// asserted bit-identical (stages, sink, DFF estimate) — the incremental
+/// engine is an evaluation-skipping optimization, never an approximation.
 ///
 /// The random family carries planted shareable cones (full-adder-shaped
 /// groups meeting the 2-cuts-per-group floor, chained like ripple carries),
@@ -33,20 +27,18 @@
 /// bounded budget — only a proven NotEquivalent fails), and the shard-level
 /// sampled SAT checks must report zero rejections.
 ///
-/// Usage: scaling [--points g1,g2,...] [--max-legacy-gates N] [--smoke]
+/// Usage: scaling [--points g1,g2,...] [--smoke]
 ///                [--json <path>] [--db <path>] [--part] [--part-jobs N]
 ///                [--part-smoke] [--physics] [--physics-smoke]
 ///   --points            gate counts to sweep (default 1000,5000,10000,20000,50000;
 ///                       with --part: 20000,50000,200000)
-///   --max-legacy-gates  skip the legacy path above this size (default 20000;
-///                       the legacy flow is quadratic — 50k points take minutes)
 ///   --smoke             CI mode: only the 10k-gate pair (plus a 10k
 ///                       partition-race record on the random family). The
 ///                       identity and convert-something assertions still
-///                       hard-fail; the speedup trajectory is gated by CI
-///                       against the committed result history
+///                       hard-fail; the scheduler speedup trajectory is gated
+///                       by CI against the committed result history
 ///                       (bench_history.jsonl, rolling median) via
-///                       scripts/check_bench_regression.py --db.
+///                       `dbtool gate`.
 ///   --json <path>       write one machine-readable record per circuit
 ///                       (metrics, per-stage wall times, speedup ratios, obs
 ///                       counters); also enables the obs registry/spans.
@@ -60,10 +52,11 @@
 ///                       unless the partitioned opt stage is >= 1.5x the
 ///                       sequential one (and equivalent). Run on a multi-core
 ///                       machine — a single hardware thread cannot pass.
-///   --physics           additionally runs a full flow + the pulse-level
-///                       physics oracle (verify/physics_check.hpp) on each
-///                       random-family point and emits a separate record with
-///                       physics_* metrics; an oracle failure fails the run.
+///   --physics           additionally runs a default-knob flow + the
+///                       pulse-level physics oracle (verify/physics_check.hpp)
+///                       on each random-family point and emits a separate
+///                       record with physics_* metrics; an oracle failure
+///                       fails the run.
 ///   --physics-smoke     CI gate: one 10k-gate random flow (opt 1 round,
 ///                       T1 on) through run_flow with the embedded oracle;
 ///                       exits 1 on any oracle failure.
@@ -115,6 +108,22 @@ Network adder_network(unsigned gates) {
   return net;
 }
 
+/// Config-label fragment naming the optimizer knobs that ran.
+std::string opt_label(const OptParams& op) {
+  if (!op.enable) return "opt=off";
+  return "opt=" + std::to_string(op.rounds) + (op.rounds == 1 ? "round" : "rounds") +
+         (op.verify ? " verify=on" : " verify=off");
+}
+
+/// Optimizer setting of the sweep: one pipeline round keeps it time-bounded,
+/// and the pass-level SAT miter (the opt.verify layer) stays off.
+OptParams sweep_opt() {
+  OptParams op;
+  op.verify = false;
+  op.rounds = 1;
+  return op;
+}
+
 struct StageTimes {
   double opt_ms = 0;
   double det_ms = 0;
@@ -122,11 +131,10 @@ struct StageTimes {
   uint32_t depth = 0;
   std::size_t t1_used = 0;
   uint64_t estimate_jj = 0;
-  double total() const { return opt_ms + det_ms; }
 };
 
 /// Phase-assignment race on one (post-detection) network: the view-seeded
-/// incremental scheduler vs the legacy full sweep, schedules asserted
+/// incremental scheduler vs the full sweep, schedules asserted
 /// bit-identical.
 struct PaRace {
   double inc_ms = 0;
@@ -164,30 +172,25 @@ PaRace race_assignment(const Network& net) {
   return r;
 }
 
-StageTimes run_once(const Network& input, bool incremental, Network* final_net = nullptr) {
+/// Opt and detection on \p input; the post-detection network lands in
+/// \p final_net for the scheduler race.
+StageTimes run_once(const Network& input, Network& final_net) {
   using clock = std::chrono::steady_clock;
   const CostModel model(CellLibrary{}, AreaConfig{}, MultiphaseConfig{4});
-  // Sweep PO-unreachable generator junk so both engines price the same
-  // circuit (the legacy guard measures swept probes, the incremental one the
-  // live set — see the guard comment in t1_detection.cpp).
+  // Sweep PO-unreachable generator junk: the detection guard prices the
+  // live set, and the sweep keeps junk out of it.
   Network net = input;
   net.sweep_dangling();
   net = net.cleanup();
 
-  OptParams op;
-  op.incremental = incremental;
-  op.verify = false;  // the pass-level SAT miter costs the same on both paths
-  op.rounds = 1;      // one pipeline round keeps the sweep time-bounded
   auto t0 = clock::now();
-  optimize(net, op);
+  optimize(net, sweep_opt());
   auto t1 = clock::now();
 
+  // The plain ASAP guard, one round: the schedule-aware rescue's
+  // counterfactual probe would run a second detection inside the timing.
   T1DetectionParams det;
-  det.incremental_estimate = incremental;
   det.max_rounds = 1;
-  // This bench compares maintenance disciplines on identical decision
-  // streams; the schedule-aware rescue only exists on the incremental path,
-  // so it is pinned off for the comparison.
   det.schedule_aware_guard = false;
   const auto stats = detect_and_replace_t1(net, model, det);
   auto t2 = clock::now();
@@ -199,9 +202,7 @@ StageTimes run_once(const Network& input, bool incremental, Network* final_net =
   r.depth = net.depth();
   r.t1_used = stats.used;
   r.estimate_jj = model.network_breakdown(net).total();
-  if (final_net) {
-    *final_net = std::move(net);
-  }
+  final_net = std::move(net);
   return r;
 }
 
@@ -351,7 +352,6 @@ int run_physics_smoke() {
 
 int main(int argc, char** argv) {
   std::vector<unsigned> points{1000, 5000, 10000, 20000, 50000};
-  unsigned max_legacy = 20000;
   bool smoke = false;
   bool part_mode = false;
   bool part_smoke = false;
@@ -364,8 +364,6 @@ int main(int argc, char** argv) {
   std::vector<unsigned> points_arg;
   bench::ArgParser args("bench_scaling");
   args.uint_list("--points", &points_arg, "g1,g2,...", "gate counts to sweep")
-      .uint_opt("--max-legacy-gates", &max_legacy, "N",
-                "largest point the legacy path still runs")
       .flag("--smoke", &smoke, "small fixed points for CI")
       .string_opt("--json", &json_path, "path", "write records as JSON")
       .string_opt("--db", &db_path, "path", "append records to result DB")
@@ -398,7 +396,6 @@ int main(int argc, char** argv) {
   }
   if (smoke) {
     points = {10000};
-    max_legacy = 10000;
   }
   // Records want the obs counters (enabled above); the default stdout run
   // stays uninstrumented so the timed race measures exactly what the library
@@ -408,11 +405,11 @@ int main(int argc, char** argv) {
   std::cout << "Incremental-view scaling (opt 1 round + detection 1 round + phase "
                "assignment, 4 phases)\n";
   std::cout << std::setw(14) << "circuit" << std::setw(8) << "gates" << std::setw(11)
-            << "opt(inc)" << std::setw(11) << "opt(leg)" << std::setw(11) << "det(inc)"
-            << std::setw(11) << "det(leg)" << std::setw(10) << "pa(inc)" << std::setw(10)
-            << "pa(leg)" << std::setw(7) << "T1" << std::setw(10) << "speedup"
-            << std::setw(9) << "pa-spd" << "\n";
+            << "opt" << std::setw(11) << "det" << std::setw(10) << "pa(inc)"
+            << std::setw(10) << "pa(leg)" << std::setw(7) << "T1" << std::setw(9)
+            << "pa-spd" << "\n";
 
+  const std::string race_config = "4phi " + opt_label(sweep_opt()) + " det=1round race=sched";
   bool ok = true;
   for (const unsigned n : points) {
     std::vector<Network> cases;
@@ -422,89 +419,56 @@ int main(int argc, char** argv) {
       // Per-circuit counters: the registry restarts empty for each record.
       obs::Registry::instance().reset();
       Network final_net;
-      const StageTimes inc = run_once(net, /*incremental=*/true, &final_net);
+      const StageTimes st = run_once(net, final_net);
       // The planted-cone generator exists so detection has something to
       // convert on the random family; a convert-nothing run means the
       // planting (or detection) regressed.
-      if (inc.t1_used == 0) {
+      if (st.t1_used == 0) {
         std::cout << "FAIL: no T1 conversion on " << net.name()
                   << " — detection no longer exercises this family.\n";
         ok = false;
       }
-      // Race the schedulers on the shared post-detection network; identical
+      // Race the schedulers on the post-detection network; identical
       // schedules are part of the incremental engine's contract.
       const PaRace pa = race_assignment(final_net);
       if (!pa.identical) {
         std::cout << "MISMATCH on " << net.name()
-                  << ": incremental and legacy phase assignment diverge.\n";
+                  << ": incremental and full-sweep phase assignment diverge.\n";
         ok = false;
       }
       bench::BenchRecord rec;
       rec.circuit = net.name();
-      rec.config = "4phi opt=1round det=1round race=inc-vs-legacy";
-      rec.metrics = {{"gates", static_cast<int64_t>(inc.gates)},
-                     {"depth", static_cast<int64_t>(inc.depth)},
-                     {"t1_used", static_cast<int64_t>(inc.t1_used)},
-                     {"estimate_jj", static_cast<int64_t>(inc.estimate_jj)}};
-      rec.time_ms = {{"opt_inc", inc.opt_ms},
-                     {"det_inc", inc.det_ms},
+      rec.config = race_config;
+      rec.metrics = {{"gates", static_cast<int64_t>(st.gates)},
+                     {"depth", static_cast<int64_t>(st.depth)},
+                     {"t1_used", static_cast<int64_t>(st.t1_used)},
+                     {"estimate_jj", static_cast<int64_t>(st.estimate_jj)}};
+      rec.time_ms = {{"opt", st.opt_ms},
+                     {"det", st.det_ms},
                      {"pa_inc", pa.inc_ms},
                      {"pa_leg", pa.leg_ms}};
-
-      std::cout << std::setw(14) << net.name() << std::setw(8) << net.num_gates()
-                << std::setw(11) << std::fixed << std::setprecision(1) << inc.opt_ms;
-      if (net.num_gates() <= max_legacy) {
-        const StageTimes leg = run_once(net, /*incremental=*/false);
-        if (inc.gates != leg.gates || inc.depth != leg.depth ||
-            inc.t1_used != leg.t1_used || inc.estimate_jj != leg.estimate_jj) {
-          std::cout << "\nMISMATCH on " << net.name() << ": incremental ("
-                    << inc.gates << "g/" << inc.depth << "d/" << inc.t1_used
-                    << "T1/" << inc.estimate_jj << "JJ) vs legacy (" << leg.gates
-                    << "g/" << leg.depth << "d/" << leg.t1_used << "T1/"
-                    << leg.estimate_jj << "JJ)\n";
-          ok = false;
-        }
-        // Trajectory gating happens in CI: the comparator checks these ratios
-        // against the committed snapshot with a tolerance band, replacing the
-        // old hard-coded ">= 1.5x" exits.
-        const double speedup =
-            (leg.total() + pa.leg_ms) / std::max(inc.total() + pa.inc_ms, 0.1);
-        rec.time_ms.push_back({"opt_leg", leg.opt_ms});
-        rec.time_ms.push_back({"det_leg", leg.det_ms});
-        rec.ratios.push_back({"end_to_end_speedup", speedup});
-        // The PA ratio is only meaningful on the random family: its
-        // slack-rich DAGs are the scheduler's real workload. The fused
-        // adder's schedule is already converged at ASAP — both engines
-        // finish in ~2 ms there and the ratio is timer noise, on any
-        // machine. The schedule-identity assert above still runs on every
-        // circuit.
-        if (net.name().rfind("rand", 0) == 0) {
-          rec.ratios.push_back({"pa_speedup", pa.speedup()});
-        }
-        std::cout << std::setw(11) << leg.opt_ms << std::setw(11) << inc.det_ms
-                  << std::setw(11) << leg.det_ms << std::setw(10) << pa.inc_ms
-                  << std::setw(10) << pa.leg_ms << std::setw(7) << inc.t1_used
-                  << std::setw(9) << std::setprecision(1) << speedup << "x"
-                  << std::setw(8) << pa.speedup() << "x\n";
-      } else {
-        // Not a silent cap: the legacy opt/detection flow is quadratic and
-        // skipped here (the assignment race still runs — it is near-linear
-        // on both engines).
-        std::cout << std::setw(11) << "-" << std::setw(11) << inc.det_ms
-                  << std::setw(11) << "-" << std::setw(10) << pa.inc_ms
-                  << std::setw(10) << pa.leg_ms << std::setw(7) << inc.t1_used
-                  << std::setw(10) << "(legacy skipped)" << std::setw(8)
-                  << std::setprecision(1) << pa.speedup() << "x\n";
+      // The PA ratio is only meaningful on the random family: its slack-rich
+      // DAGs are the scheduler's real workload. The fused adder's schedule is
+      // already converged at ASAP — both engines finish in ~2 ms there and
+      // the ratio is timer noise, on any machine. The schedule-identity
+      // assert above still runs on every circuit.
+      if (net.name().rfind("rand", 0) == 0) {
+        rec.ratios.push_back({"pa_speedup", pa.speedup()});
       }
+      std::cout << std::setw(14) << net.name() << std::setw(8) << net.num_gates()
+                << std::setw(11) << std::fixed << std::setprecision(1) << st.opt_ms
+                << std::setw(11) << st.det_ms << std::setw(10) << pa.inc_ms
+                << std::setw(10) << pa.leg_ms << std::setw(7) << st.t1_used
+                << std::setw(8) << pa.speedup() << "x\n";
       if (emit) {
         bench::capture_counters(rec);
         records.push_back(std::move(rec));
       }
 
-      // Sampled physics validation: a full flow (opt off — the sweep above
-      // already measured it) through the pulse-level oracle on the random
-      // family, emitted as its own record so the physics_* metrics enter the
-      // trajectory without touching the race records.
+      // Sampled physics validation: a default-knob flow through the
+      // pulse-level oracle on the random family, emitted as its own record
+      // so the physics_* metrics enter the trajectory without touching the
+      // race records. The label is derived from the knobs that ran.
       if (physics && net.name().rfind("rand", 0) == 0) {
         obs::Registry::instance().reset();
         FlowParams fp;
@@ -528,7 +492,7 @@ int main(int argc, char** argv) {
         if (emit) {
           bench::BenchRecord prec;
           prec.circuit = net.name();
-          prec.config = "physics 4phi t1 opt=off";
+          prec.config = "physics 4phi t1 " + opt_label(fp.opt);
           prec.metrics = {
               {"physics_ok", report.ok ? 1 : 0},
               {"physics_vectors", static_cast<int64_t>(report.vectors)},
@@ -575,8 +539,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!ok) {
-    std::cout << "\nFAIL: incremental and legacy paths disagree (or detection "
-                 "converted nothing).\n";
+    std::cout << "\nFAIL: the schedulers disagree, detection converted nothing, or "
+                 "an oracle failed.\n";
     return 1;
   }
   if (!bench::emit_records(json_path, db_path, "scaling", records)) {

@@ -31,7 +31,7 @@
 ///   --jobs N sizes the thread pool (default: hardware concurrency).
 ///   --json <path> writes one record per (benchmark, flow) with quality
 ///   metrics and per-stage wall times; gated in CI against the committed
-///   result history (bench_history.jsonl) via scripts/check_bench_regression.py.
+///   result history (bench_history.jsonl) via `dbtool gate`.
 ///   --db <path> appends the same records to the append-only result DB,
 ///   stamped with commit/branch/build/host (see src/obs/resultdb.hpp).
 ///   (Per-record obs counters are not captured here: jobs run concurrently

@@ -21,11 +21,12 @@
 ///     ]
 ///   }
 ///
-/// The split drives `scripts/check_bench_regression.py`: `metrics` must match
-/// the committed snapshot (quality is deterministic), `ratios` must stay
-/// within a tolerance band of it, `time_ms`/`counters` are reported but never
-/// gated (absolute times depend on the machine). Committed snapshots live at
-/// the repo root (`BENCH_scaling.json`, `BENCH_table1.json`).
+/// The split drives `dbtool gate` (src/obs/resultdb.hpp): `metrics` must
+/// match the latest row of the committed result history (quality is
+/// deterministic), `ratios` must stay within a tolerance band of its rolling
+/// median, `time_ms`/`counters` are reported but never gated (absolute times
+/// depend on the machine). The history lives at the repo root
+/// (`bench_history.jsonl`).
 
 #include <cstdint>
 #include <string>

@@ -29,16 +29,32 @@ uint64_t physical_area_jj(const PhysicalNetlist& phys, const CellLibrary& lib,
 }
 
 FlowResult run_flow(const Network& input, const FlowParams& params) {
-  if (params.use_t1 && params.clk.phases < 4) {
-    throw std::invalid_argument(
-        "run_flow: T1 cells need >= 4 clock phases (three distinct landing slots)");
-  }
-
   obs::ScopedEnable obs_scope(params.obs);
   obs::Span flow_span("flow", "gates_in", static_cast<int64_t>(input.num_gates()));
   const Clock::time_point t_flow = Clock::now();
 
   FlowResult result;
+  {
+    // One analysis view shared across the detection/assignment boundary:
+    // detection maintains it through every commit and rebinds it through its
+    // final compaction, so the scheduler starts from maintained stages/slack
+    // rather than a fresh O(n) build.
+    std::optional<IncrementalView> view;
+    run_logical_flow(input, params, result, view);
+    run_physical_flow(input, params, result, view ? &*view : nullptr);
+  }
+  result.timings.total_ms = ms_since(t_flow);
+  obs::count("flow.runs");
+  return result;
+}
+
+void run_logical_flow(const Network& input, const FlowParams& params,
+                      FlowResult& result, std::optional<IncrementalView>& view) {
+  if (params.use_t1 && params.clk.phases < 4) {
+    throw std::invalid_argument(
+        "run_flow: T1 cells need >= 4 clock phases (three distinct landing slots)");
+  }
+  view.reset();  // a view over a previous result.mapped would go stale
   {
     obs::Span span("flow.cleanup");
     const Clock::time_point t0 = Clock::now();
@@ -66,30 +82,23 @@ FlowResult run_flow(const Network& input, const FlowParams& params) {
   result.metrics.opt_depth = result.mapped.depth();
   result.metrics.opt_area_jj = model.network_breakdown(result.mapped).total();
 
-  // One analysis view shared across the detection/assignment boundary:
-  // detection maintains it through every commit and rebinds it through its
-  // final compaction (instead of letting it die there), so the scheduler
-  // starts from maintained stages/slack rather than a fresh O(n) build.
-  std::optional<IncrementalView> shared_view;
-  const bool share_view = params.use_t1 && params.detection.incremental_estimate &&
-                          params.incremental_assignment;
   if (params.use_t1) {
     obs::Span span("flow.detect", "gates_in",
                    static_cast<int64_t>(result.mapped.num_gates()));
     const Clock::time_point t0 = Clock::now();
-    T1DetectionStats det;
-    if (share_view) {
-      shared_view.emplace(result.mapped, model, /*track_plan=*/true);
-      det = detect_and_replace_t1(result.mapped, model, params.detection,
-                                  &*shared_view);
-    } else {
-      det = detect_and_replace_t1(result.mapped, model, params.detection);
-    }
+    view.emplace(result.mapped, model, /*track_plan=*/true);
+    const T1DetectionStats det =
+        detect_and_replace_t1(result.mapped, model, params.detection, &*view);
     result.metrics.t1_found = det.found;
     result.metrics.t1_used = det.used;  // detection compacts the network itself
     result.timings.detect_ms = ms_since(t0);
     span.arg("t1_used", static_cast<int64_t>(det.used));
   }
+}
+
+void run_physical_flow(const Network& golden, const FlowParams& params,
+                       FlowResult& result, const IncrementalView* view) {
+  const CostModel model = params.cost();
   result.metrics.detect_area_jj = model.network_breakdown(result.mapped).total();
 
   PhaseAssignmentParams pp;
@@ -98,19 +107,16 @@ FlowResult run_flow(const Network& input, const FlowParams& params) {
   pp.max_sweeps = params.max_sweeps;
   pp.milp_max_nodes = params.milp_max_nodes;
   pp.output_slack = params.output_slack;
-  // With a shared view the scheduler is seeded from the maintained state the
-  // detection stage hands over; otherwise it computes its own ASAP/slack seed
-  // (the view-seeded overload produces the identical result, pinned by test).
-  pp.incremental = params.incremental_assignment;
   {
     obs::Span span("flow.assign", "gates_in",
                    static_cast<int64_t>(result.mapped.num_gates()));
     const Clock::time_point t0 = Clock::now();
-    result.assignment = shared_view ? assign_phases(*shared_view, pp)
-                                    : assign_phases(result.mapped, pp);
+    // The view-seeded overload produces the identical result to the
+    // from-scratch one (pinned by test); it only skips the ASAP/slack seed.
+    result.assignment = view ? assign_phases(*view, pp)
+                             : assign_phases(result.mapped, pp);
     result.timings.assign_ms = ms_since(t0);
   }
-  shared_view.reset();  // flush the view's obs counters before DFF insertion
   if (!result.assignment.feasible) {
     throw InfeasibleScheduleError("run_flow: no feasible phase assignment");
   }
@@ -139,17 +145,13 @@ FlowResult run_flow(const Network& input, const FlowParams& params) {
     // Golden = the flow's *input*: the oracle then covers cleanup, opt, T1
     // rewrite, assignment and DFF insertion end to end, not just the last
     // stage.
-    result.physics = verify::physics_check(result.physical, params.clk, input,
+    result.physics = verify::physics_check(result.physical, params.clk, golden,
                                            params.physics);
     result.timings.physics_ms = ms_since(t0);
     if (!result.physics.ok) {
       throw PhysicsViolationError("run_flow: " + result.physics.summary());
     }
   }
-
-  result.timings.total_ms = ms_since(t_flow);
-  obs::count("flow.runs");
-  return result;
 }
 
 bool verify_flow(const FlowResult& result, const Network& golden,

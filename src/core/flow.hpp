@@ -11,8 +11,15 @@
 /// reproduces the single-phase baseline (1φ); `phases = 4, use_t1 = false`
 /// the multiphase baseline (4φ); `phases = 4, use_t1 = true` the paper's
 /// proposed flow (column "T1").
+///
+/// run_flow() is exactly its two halves in sequence: run_logical_flow()
+/// (cleanup, optional pre-mapping optimization, detection) and
+/// run_physical_flow() (assignment, DFF insertion, metrics, physics oracle).
+/// The ECO sessions of src/service/ call the halves directly, patching the
+/// logical result in between.
 
 #include <cstdint>
+#include <optional>
 
 #include "core/dff_insertion.hpp"
 #include "core/phase_assignment.hpp"
@@ -35,9 +42,6 @@ struct FlowParams {
   /// Latency slack for a min-area mode: extra stages granted to the balanced
   /// output sink (see PhaseAssignmentParams::output_slack).
   Stage output_slack = 0;
-  /// View-seeded incremental phase assignment (identical schedules to the
-  /// legacy full-sweep scheduler; see PhaseAssignmentParams::incremental).
-  bool incremental_assignment = true;
   CellLibrary lib{};
   AreaConfig area{};
   T1DetectionParams detection{};
@@ -89,8 +93,8 @@ struct FlowMetrics {
 };
 
 /// Per-stage wall-clock times (steady_clock). Kept OUT of FlowMetrics on
-/// purpose: golden tests and incremental-vs-legacy identity assertions
-/// compare FlowMetrics byte-for-byte, and timing must never participate.
+/// purpose: golden tests and ECO-vs-cold identity assertions compare
+/// FlowMetrics byte-for-byte, and timing must never participate.
 struct FlowTimings {
   double cleanup_ms = 0.0;
   double opt_ms = 0.0;
@@ -114,9 +118,30 @@ struct FlowResult {
   verify::PhysicsReport physics;
 };
 
+class IncrementalView;
+
 /// Runs the flow. Throws std::invalid_argument when `use_t1` is combined with
 /// fewer than 4 phases (the three landing slots of eq. 3 need n ≥ 4).
 FlowResult run_flow(const Network& input, const FlowParams& params = {});
+
+/// The logical half of run_flow: cleans \p input into `result.mapped`, runs
+/// the optimizer and T1 detection on it, and fills the pre-opt, opt and T1
+/// metrics and timings. With `use_t1`, detection's plan-tracking view over
+/// `result.mapped` is handed back live in \p view (otherwise \p view is
+/// left empty); it pins `result.mapped`, so \p result must stay put while
+/// the view lives. Throws like run_flow on a T1 flow with fewer than 4
+/// phases.
+void run_logical_flow(const Network& input, const FlowParams& params,
+                      FlowResult& result, std::optional<IncrementalView>& view);
+
+/// The physical half of run_flow on `result.mapped`: phase assignment
+/// (seeded from \p view when given — a view over `result.mapped`, in sync
+/// with it), DFF insertion and the final metrics, then the physics oracle
+/// against \p golden when `physics_check` is on. Throws
+/// InfeasibleScheduleError / PhysicsViolationError like run_flow.
+/// `timings.total_ms` is left to the caller.
+void run_physical_flow(const Network& golden, const FlowParams& params,
+                       FlowResult& result, const IncrementalView* view = nullptr);
 
 /// Area metric on a physical netlist (gates + DFFs + splitters + clock share).
 uint64_t physical_area_jj(const PhysicalNetlist& phys, const CellLibrary& lib,

@@ -52,8 +52,9 @@ struct PhaseAssignmentParams {
   Stage output_slack = 0;
   /// Incremental (slack-seeded, dirty-worklist) coordinate descent. The
   /// schedule is identical to the legacy full sweep — only provably
-  /// no-change evaluations are skipped; false keeps the legacy full-sweep
-  /// scheduler reachable for the scaling comparison (bench/scaling.cpp).
+  /// no-change evaluations are skipped; false keeps the full-sweep scheduler
+  /// as the reference tests/phase_assignment_test.cpp and the bench/scaling
+  /// scheduler race compare against.
   bool incremental = true;
 };
 

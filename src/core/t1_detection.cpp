@@ -227,7 +227,7 @@ int64_t price_candidate(const Network& net, const CostModel& model,
 T1DetectionStats detect_round(Network& net, const CostModel& model,
                               const T1DetectionParams& params, Stage cycle_cap,
                               std::set<std::array<NodeId, 3>>& found_keys,
-                              IncrementalView* persistent_ctx) {
+                              IncrementalView& ctx) {
   T1DetectionStats stats;
   const CellLibrary& lib = model.lib();
 
@@ -235,20 +235,12 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
   cp.cut_size = 3;
   cp.max_cuts = params.max_cuts;
   const auto cuts = enumerate_cuts(net, cp);
-  // The round's shared analysis state: stages, fanouts, consumers and — when
-  // the commit guard runs incrementally — the delta-maintained DFF plan and
-  // JJ estimate. Pricing happens before any commit, so candidate gains see
-  // the round-entry landscape exactly as the per-round rebuild used to.
-  // When the caller persists a view across rounds (the incremental path) it
-  // arrives already settled at the round-entry landscape — the per-round
-  // O(n) rebuild disappears and the dirty set carries over instead.
+  // The round's shared analysis state is the caller's view, persisted across
+  // rounds: stages, fanouts, consumers and — when the commit guard runs — the
+  // delta-maintained DFF plan and JJ estimate. It arrives settled at the
+  // round-entry landscape, and pricing happens before any commit, so
+  // candidate gains see exactly that landscape.
   const bool guarded = params.require_positive_gain && params.dff_aware;
-  const bool incremental_guard = guarded && params.incremental_estimate;
-  std::optional<IncrementalView> local_ctx;
-  if (persistent_ctx == nullptr) {
-    local_ctx.emplace(net, model, /*track_plan=*/incremental_guard);
-  }
-  IncrementalView& ctx = persistent_ctx ? *persistent_ctx : *local_ctx;
 
   // -- Group matching cuts by their (sorted) leaf triple. ----------------------
   std::map<std::array<NodeId, 3>, std::vector<Match>> groups;
@@ -347,36 +339,20 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
   // rejected candidate is not consumed, so the next round can retry it
   // against the post-commit stage landscape.
   //
-  // Two guard engines, identical accept/reject logic:
-  //   * incremental (default) — the commit is applied through the round's
-  //     IncrementalView (ports in, roots rerouted, cone killed), the O(1)
-  //     estimate is read off the delta-maintained plan, and a reject rolls
-  //     the edit back from the journal. Cost per candidate: the touched cone.
-  //     When the ASAP estimate alone is a loss, the schedule-aware rescue
-  //     asks the ScheduleRefiner whether a few local stage sweeps recover it.
-  //   * legacy — a swept copy of the whole network is re-planned per
-  //     candidate. O(n) each; kept for the bench/scaling comparison.
-  // One deliberate nuance: the incremental estimate tracks the *live* node
-  // set, the legacy probe the *PO-reachable* one. On generator networks that
-  // carry unreachable-but-live junk the incremental guard is marginally
-  // stricter around junk-orphaned nodes — measured effect on the Table-I
-  // suite: it declines exactly the phantom conversions whose T1 cells the
-  // end-of-round sweep would delete again (sin: used 38 -> 37 at shrink 8,
-  // every JJ/DFF/area/depth figure identical).
-  const auto swept_estimate = [&model](const Network& n) {
-    Network probe = n;
-    probe.sweep_dangling();
-    return static_cast<int64_t>(model.network_breakdown(probe).total());
-  };
+  // The commit is applied through the view (ports in, roots rerouted, cone
+  // killed), the O(1) estimate is read off the delta-maintained plan, and a
+  // reject rolls the edit back from the journal. Cost per candidate: the
+  // touched cone. When the ASAP estimate alone is a loss, the schedule-aware
+  // rescue asks the ScheduleRefiner whether a few local stage sweeps recover
+  // it. The estimate prices the *live* node set, PO-unreachable junk
+  // included.
+  //
   // Cycles already spent (by earlier rounds, or a deep seed) are not
   // re-charged: the cap only gates *new* boundary crossings of this round.
-  if (incremental_guard) {
-    cycle_cap = std::max(cycle_cap, model.clk().cycles(ctx.output_stage() - 1));
-  }
   int64_t current_est = 0;
   if (guarded) {
-    current_est = incremental_guard ? static_cast<int64_t>(ctx.estimate().total())
-                                    : swept_estimate(net);
+    cycle_cap = std::max(cycle_cap, model.clk().cycles(ctx.output_stage() - 1));
+    current_est = static_cast<int64_t>(ctx.estimate().total());
   }
   // Guard decision counters: locals flushed to the obs registry at round end
   // (the commit loop is hot at scaling-bench sizes).
@@ -397,118 +373,93 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
     if (conflict) continue;
 
     std::vector<std::pair<NodeId, NodeId>> ports;
-    std::vector<NodeId> killed_closure;
-    if (params.incremental_estimate) {
-      // Pre-commit plan total and sink latency: the baselines the rescue's
-      // DFF-lambda and latency clauses charge against (O(1) reads off the
-      // maintained plan).
-      const int64_t planned_before = guarded ? ctx.planned_dffs() : 0;
-      // Apply the candidate through the view, guard, roll back on reject.
-      const NodeId body = net.add_t1(resolve_leaf(cand.leaves[0]),
-                                     resolve_leaf(cand.leaves[1]),
-                                     resolve_leaf(cand.leaves[2]));
-      std::vector<IncrementalView::ReplaceUndo> undos;
-      for (const Match& m : cand.matches) {
-        const NodeId port = net.add_t1_port(body, m.fn);
-        ports.push_back({m.root, port});
-        undos.push_back(ctx.replace(m.root, port));
+    // Pre-commit plan total and sink latency: the baselines the rescue's
+    // DFF-lambda and latency clauses charge against (O(1) reads off the
+    // maintained plan).
+    const int64_t planned_before = guarded ? ctx.planned_dffs() : 0;
+    // Apply the candidate through the view, guard, roll back on reject.
+    const NodeId body = net.add_t1(resolve_leaf(cand.leaves[0]),
+                                   resolve_leaf(cand.leaves[1]),
+                                   resolve_leaf(cand.leaves[2]));
+    std::vector<IncrementalView::ReplaceUndo> undos;
+    for (const Match& m : cand.matches) {
+      const NodeId port = net.add_t1_port(body, m.fn);
+      ports.push_back({m.root, port});
+      undos.push_back(ctx.replace(m.root, port));
+    }
+    const std::vector<NodeId> killed_closure = ctx.kill_cone(cand.cone_union);
+    journal_depth_max =
+        std::max(journal_depth_max,
+                 static_cast<int64_t>(undos.size() + killed_closure.size()));
+    if (guarded) {
+      int64_t trial_est = static_cast<int64_t>(ctx.estimate().total());
+      // Latency envelope (schedule-aware mode only, so the ASAP-only
+      // decision stream is untouched when the rescue is off): no commit —
+      // rescued or plain — may push the balanced sink past the cycle the
+      // ASAP-only counterfactual flow ends at (measured by the caller,
+      // plus `guard_latency_budget` extra cycles). The estimate prices
+      // area only; on rescue-reshaped landscapes marginal accepts
+      // otherwise spend whole pipeline cycles for single-digit JJ margins,
+      // which Table I reports as a depth regression.
+      const Stage trial_cycles = model.clk().cycles(ctx.output_stage() - 1);
+      const bool within_budget =
+          !params.schedule_aware_guard || trial_cycles <= cycle_cap;
+      bool accept = within_budget && trial_est <= current_est;
+      if (!accept && within_budget && params.schedule_aware_guard) {
+        ++rescue_attempts;
+        ScheduleRefinerParams rp;
+        rp.sweeps = params.guard_sweeps;
+        rp.radius = params.guard_radius;
+        const ScheduleRefiner refiner(ctx, rp);
+        std::vector<NodeId> seeds{body};
+        for (unsigned i = 0; i < 3; ++i) {
+          seeds.push_back(resolve_producer(net, net.node(body).fanin(i)));
+        }
+        const int64_t refined_planned = refiner.refine(seeds);
+        const int64_t refined_est =
+            trial_est - (ctx.planned_dffs() - refined_planned) * model.dff_jj();
+        // The lambda term prices the DFF trade the raw refined estimate
+        // cannot see. The refinement is hypothetical — each rescue's
+        // scratch descent assumes the rest of the network realigns around
+        // it, and the final assignment cannot realize every rescue's
+        // private schedule at once — while the *committed* state keeps the
+        // ASAP plan: `trial - before` landing DFFs that stretch the spines
+        // later candidates price against and push the balanced sink later.
+        // Those committed DFFs are charged at a premium, so a rescue must
+        // clear a margin proportional to the chains it actually lands.
+        const int64_t dff_increase =
+            std::max<int64_t>(0, ctx.planned_dffs() - planned_before);
+        const int64_t premium = static_cast<int64_t>(
+            std::llround(params.guard_dff_lambda *
+                         static_cast<double>(model.dff_jj() * dff_increase)));
+        accept = refined_est + premium <= current_est;
+        if (accept) {
+          ++rescues;
+        }
       }
-      killed_closure = ctx.kill_cone(cand.cone_union);
-      journal_depth_max =
-          std::max(journal_depth_max,
-                   static_cast<int64_t>(undos.size() + killed_closure.size()));
-      if (guarded) {
-        int64_t trial_est = static_cast<int64_t>(ctx.estimate().total());
-        // Latency envelope (schedule-aware mode only, so the legacy-default
-        // decision stream is untouched when the rescue is off): no commit —
-        // rescued or plain — may push the balanced sink past the cycle the
-        // ASAP-only counterfactual flow ends at (measured by the caller,
-        // plus `guard_latency_budget` extra cycles). The estimate prices
-        // area only; on rescue-reshaped landscapes marginal accepts
-        // otherwise spend whole pipeline cycles for single-digit JJ margins,
-        // which Table I reports as a depth regression.
-        const Stage trial_cycles = model.clk().cycles(ctx.output_stage() - 1);
-        const bool within_budget =
-            !params.schedule_aware_guard || trial_cycles <= cycle_cap;
-        bool accept = within_budget && trial_est <= current_est;
-        if (!accept && within_budget && params.schedule_aware_guard) {
-          ++rescue_attempts;
-          ScheduleRefinerParams rp;
-          rp.sweeps = params.guard_sweeps;
-          rp.radius = params.guard_radius;
-          const ScheduleRefiner refiner(ctx, rp);
-          std::vector<NodeId> seeds{body};
-          for (unsigned i = 0; i < 3; ++i) {
-            seeds.push_back(resolve_producer(net, net.node(body).fanin(i)));
-          }
-          const int64_t refined_planned = refiner.refine(seeds);
-          const int64_t refined_est =
-              trial_est - (ctx.planned_dffs() - refined_planned) * model.dff_jj();
-          // The lambda term prices the DFF trade the raw refined estimate
-          // cannot see. The refinement is hypothetical — each rescue's
-          // scratch descent assumes the rest of the network realigns around
-          // it, and the final assignment cannot realize every rescue's
-          // private schedule at once — while the *committed* state keeps the
-          // ASAP plan: `trial - before` landing DFFs that stretch the spines
-          // later candidates price against and push the balanced sink later.
-          // Those committed DFFs are charged at a premium, so a rescue must
-          // clear a margin proportional to the chains it actually lands.
-          const int64_t dff_increase =
-              std::max<int64_t>(0, ctx.planned_dffs() - planned_before);
-          const int64_t premium = static_cast<int64_t>(
-              std::llround(params.guard_dff_lambda *
-                           static_cast<double>(model.dff_jj() * dff_increase)));
-          accept = refined_est + premium <= current_est;
-          if (accept) {
-            ++rescues;
+      if (!accept) {
+        ++guard_declines;
+        // Physically a loss here; maybe not after more fusion. Roll back.
+        ctx.revive_cone(killed_closure);
+        for (std::size_t i = ports.size(); i-- > 0;) {
+          ctx.unreplace(ports[i].first, ports[i].second, undos[i]);
+        }
+        std::vector<NodeId> dead_ports;
+        for (const auto& [root, port] : ports) {
+          (void)root;
+          if (std::find(dead_ports.begin(), dead_ports.end(), port) ==
+              dead_ports.end()) {
+            dead_ports.push_back(port);  // two same-fn roots share one port
           }
         }
-        if (!accept) {
-          ++guard_declines;
-          // Physically a loss here; maybe not after more fusion. Roll back.
-          ctx.revive_cone(killed_closure);
-          for (std::size_t i = ports.size(); i-- > 0;) {
-            ctx.unreplace(ports[i].first, ports[i].second, undos[i]);
-          }
-          std::vector<NodeId> dead_ports;
-          for (const auto& [root, port] : ports) {
-            (void)root;
-            if (std::find(dead_ports.begin(), dead_ports.end(), port) ==
-                dead_ports.end()) {
-              dead_ports.push_back(port);  // two same-fn roots share one port
-            }
-          }
-          for (const NodeId port : dead_ports) {
-            ctx.kill(port);
-          }
-          ctx.kill(body);
-          continue;
+        for (const NodeId port : dead_ports) {
+          ctx.kill(port);
         }
-        current_est = trial_est;
-        ++guard_accepts;
+        ctx.kill(body);
+        continue;
       }
-    } else {
-      // Legacy guard: whole-network probe on a trial copy. (The view is not
-      // consulted after this point — prices were computed before the loop.)
-      Network trial = net;
-      const NodeId body = trial.add_t1(resolve_leaf(cand.leaves[0]),
-                                       resolve_leaf(cand.leaves[1]),
-                                       resolve_leaf(cand.leaves[2]));
-      for (const Match& m : cand.matches) {
-        const NodeId port = trial.add_t1_port(body, m.fn);
-        trial.substitute(m.root, port);
-        ports.push_back({m.root, port});
-      }
-      if (guarded) {
-        const int64_t trial_est = swept_estimate(trial);
-        if (trial_est > current_est) {
-          ++guard_declines;
-          continue;
-        }
-        current_est = trial_est;
-        ++guard_accepts;
-      }
-      net = std::move(trial);
+      current_est = trial_est;
+      ++guard_accepts;
     }
     for (const auto& [root, port] : ports) {
       replacement[root] = port;
@@ -516,16 +467,12 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
     for (const NodeId n : cand.cone_union) {
       consumed[n] = 1;
     }
-    // The incremental path retracts the cone's whole dangling closure at
-    // commit time (legacy leaves it dangling until the end-of-round sweep).
-    // Candidates were enumerated at round start, so a stale candidate may
-    // still name a cascade-killed node as cone, root or leaf: consume the
-    // full kill list so it is skipped. (Under the legacy discipline such a
-    // candidate "converts" logic that is already disconnected — a phantom
-    // commit the sweep deletes again; skipping it changes no physical
-    // metric, only the `used` statistic.) The closure can reach bodies and
-    // ports committed earlier in this round, whose ids postdate the
-    // round-entry `consumed` sizing.
+    // The commit retracts the cone's whole dangling closure. Candidates were
+    // enumerated at round start, so a stale candidate may still name a
+    // cascade-killed node as cone, root or leaf: consume the full kill list
+    // so it is skipped rather than "converting" logic that is already
+    // disconnected. The closure can reach bodies and ports committed earlier
+    // in this round, whose ids postdate the round-entry `consumed` sizing.
     consumed.resize(net.size(), 0);
     for (const NodeId n : killed_closure) {
       consumed[n] = 1;
@@ -545,11 +492,8 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
     obs::gauge_max("detect.guard.journal_depth", journal_depth_max);
   }
 
-  // With a persistent view the caller owns the end-of-round sweep (it must
-  // rebuild the view in the rare case the sweep actually kills something).
-  if (persistent_ctx == nullptr) {
-    net.sweep_dangling();
-  }
+  // The caller owns the end-of-round sweep (it must rebuild the view in the
+  // rare case the sweep actually kills something).
   return stats;
 }
 
@@ -582,37 +526,29 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
   //     no-op by construction, never a regression, which is what lets it
   //     default on.
   // Cost: detection runs twice in schedule-aware mode (milliseconds at
-  // Table-I scale; the large-network scaling bench pins the rescue off).
+  // Table-I scale; past `guard_probe_max_gates` the probe is skipped).
   Stage cycle_cap = std::numeric_limits<Stage>::max() / 4;
-  const bool guard_mode = params.schedule_aware_guard &&
-                          params.incremental_estimate &&
-                          params.require_positive_gain && params.dff_aware;
+  const bool guarded = params.require_positive_gain && params.dff_aware;
+  const bool guard_mode = params.schedule_aware_guard && guarded;
   // The probe run is quadratic-ish in practice (a full second detection);
   // past `guard_probe_max_gates` the envelope is anchored at the maintained
   // incremental depth bound instead (see the param's doc).
   const bool counterfactual =
       guard_mode && net.num_gates() <= params.guard_probe_max_gates;
-  // The incremental path persists one view across rounds: commits keep it
-  // delta-maintained, so round k+1 starts from the dirty set round k left
-  // behind instead of an O(n) rebuild. The end-of-round reachability sweep
-  // almost never fires on this path (commits retract their dangling closure
-  // eagerly); when it does kill something the view is rebuilt — behavior
-  // stays identical to the per-round construction, only the cost moves.
-  // A caller-supplied view is adopted in place of a private one when its
-  // tracking mode fits, and handed back alive (rebound through the final
-  // cleanup).
-  const bool guarded = params.require_positive_gain && params.dff_aware;
-  const bool incremental_guard = guarded && params.incremental_estimate;
+  // One view persists across rounds: commits keep it delta-maintained, so
+  // round k+1 starts from the dirty set round k left behind instead of an
+  // O(n) rebuild. The end-of-round reachability sweep almost never fires
+  // (commits retract their dangling closure eagerly); when it does kill
+  // something the view is rebuilt. A caller-supplied view is adopted in
+  // place of a private one when its tracking mode fits, and handed back
+  // alive (rebound through the final cleanup).
   std::optional<IncrementalView> own;
-  IncrementalView* persistent = nullptr;
-  if (params.incremental_estimate) {
-    if (reuse_view != nullptr && (!incremental_guard || reuse_view->tracks_plan())) {
-      persistent = reuse_view;
-      persistent->sync();  // absorb anything the caller appended since building
-    } else {
-      own.emplace(net, model, /*track_plan=*/incremental_guard);
-      persistent = &*own;
-    }
+  IncrementalView* persistent = reuse_view;
+  if (reuse_view != nullptr && (!guarded || reuse_view->tracks_plan())) {
+    persistent->sync();  // absorb anything the caller appended since building
+  } else {
+    own.emplace(net, model, /*track_plan=*/guarded);
+    persistent = &*own;
   }
   Network fallback_net;
   T1DetectionStats fallback_stats;
@@ -637,8 +573,8 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
   for (unsigned round = 0; round < rounds; ++round) {
     obs::Span span("detect.round", "round", static_cast<int64_t>(round));
     const T1DetectionStats r =
-        detect_round(net, model, params, cycle_cap, found_keys, persistent);
-    if (persistent != nullptr && net.sweep_dangling() > 0) {
+        detect_round(net, model, params, cycle_cap, found_keys, *persistent);
+    if (net.sweep_dangling() > 0) {
       persistent->rebuild();
     }
     span.arg("committed", static_cast<int64_t>(r.used));
@@ -649,7 +585,7 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
       break;  // fixed point: further rounds see the same landscape
     }
   }
-  const bool adopted = reuse_view != nullptr && persistent == reuse_view;
+  const bool adopted = persistent == reuse_view;
   if (adopted) {
     std::vector<NodeId> old_to_new;
     net = net.cleanup(&old_to_new);

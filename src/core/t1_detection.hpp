@@ -68,22 +68,15 @@ struct T1DetectionParams {
   /// Detection rounds (each re-enumerates cuts on the rewritten network);
   /// 1 reproduces single-shot detection.
   unsigned max_rounds = 3;
-  /// Maintain the commit-guard estimate incrementally through the shared
-  /// `IncrementalView` (delta update around the touched cone, rollback on
-  /// reject) instead of re-planning a swept copy of the whole network per
-  /// candidate. Same decisions, near-linear instead of quadratic; false
-  /// keeps the legacy full-recompute guard for the scaling comparison
-  /// (bench/scaling.cpp).
-  bool incremental_estimate = true;
   /// Schedule-aware guard: when the ASAP estimate alone would reject a
   /// candidate, run bounded coordinate-descent sweeps (ScheduleRefiner)
   /// around the new body and accept if the refined schedule recovers the
   /// loss. ASAP stages cannot align voter-class landings; a few local sweeps
   /// can — the final phase assignment then realizes the refined schedule.
-  /// Only active on the incremental-estimate path. Default on: the full
-  /// acceptance rule (refined estimate + the DFF-lambda premium below + the
-  /// counterfactual latency envelope) plus the keep-the-better-result
-  /// fallback make the rescue an improvement or a no-op by construction —
+  /// Default on: the full acceptance rule (refined estimate + the DFF-lambda
+  /// premium below + the counterfactual latency envelope) plus the
+  /// keep-the-better-result fallback make the rescue an improvement or a
+  /// no-op by construction —
   /// on the shrink-8 suite it converts the voter-class majority trees the
   /// ASAP guard declines (67 -> 92 T1, area 7400 -> 7210 JJ at +5 DFFs,
   /// depth unchanged) and leaves every other Table-I figure alone (unpriced,
@@ -152,11 +145,10 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
 /// (`IncrementalView::rebind_after_cleanup`) — so the assignment stage can
 /// inherit the detection-built view, dirty set and all, instead of paying a
 /// fresh O(n) build. Identical decisions and network results. The view
-/// should be plan-tracking when the guarded path is active
-/// (`require_positive_gain && dff_aware && incremental_estimate`); a view
-/// detection cannot adopt (wrong tracking mode, or `incremental_estimate`
-/// off) is rebuilt from the final network before returning, so the caller's
-/// view is valid either way.
+/// should be plan-tracking when the commit guard is active
+/// (`require_positive_gain && dff_aware`); a view detection cannot adopt
+/// (wrong tracking mode) is rebuilt from the final network before returning,
+/// so the caller's view is valid either way.
 T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
                                        const T1DetectionParams& params,
                                        IncrementalView* reuse_view);

@@ -420,7 +420,7 @@ void IncrementalView::propagate() {
 void IncrementalView::finish_commit() {
   ++stats_.edits;
   if (full_recompute_) {
-    rebuild();  // the legacy O(n)-per-commit path bench/scaling measures
+    rebuild();  // the O(n)-per-commit full-recompute reference
     return;
   }
   propagate();

@@ -42,8 +42,9 @@
 ///                          passes.
 ///
 /// `set_full_recompute(true)` keeps the exact same query API but services
-/// every edit with a from-scratch rebuild — the legacy-complexity path, kept
-/// so the near-linear claim stays measurable instead of asserted.
+/// every edit with a from-scratch rebuild — the full-recompute reference
+/// behind `OptParams::incremental = false`, which tests/incr_test.cpp and
+/// tests/opt_property_test.cpp compare the delta-maintained path against.
 
 #include <cstdint>
 #include <vector>
@@ -85,8 +86,8 @@ public:
   const Network& net() const { return net_; }
   const CostModel& model() const { return model_; }
 
-  /// Legacy-complexity mode: every edit rebuilds all state from scratch
-  /// (identical results, O(n) per edit). For the scaling comparison only.
+  /// Full-recompute mode: every edit rebuilds all state from scratch
+  /// (identical results, O(n) per edit). A test reference only.
   void set_full_recompute(bool on) { full_recompute_ = on; }
 
   // -- Queries (all O(1) / O(degree)) -----------------------------------------

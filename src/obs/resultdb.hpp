@@ -15,11 +15,9 @@
 /// cannot take the whole history hostage.
 ///
 /// Consumers: `bench/dbtool.cpp` (list / append / compare / gate / explain /
-/// report), `scripts/check_bench_regression.py --db` (the CI gate, same
-/// semantics re-implemented in python so CI does not need the binary to
-/// diagnose a build break), and every flow bench's `--db` flag (via
-/// `bench::append_records_to_db`). See docs/OBSERVABILITY.md, "Result DB &
-/// trajectory gating".
+/// report; `dbtool gate` is the CI gate) and every flow bench's `--db` flag
+/// (via `bench::append_records_to_db`). See docs/OBSERVABILITY.md, "Result
+/// DB & trajectory gating".
 
 #include <cstdint>
 #include <optional>

@@ -47,8 +47,8 @@ struct OptParams {
   /// Maintain analysis state (fanouts, levels, consumer lists, spines)
   /// incrementally through `IncrementalView` as commits land — update cost
   /// proportional to the affected cone. False services every commit with a
-  /// full O(n) recompute instead (identical results; the legacy-complexity
-  /// path bench/scaling.cpp measures against).
+  /// full O(n) recompute instead: the reference tests/opt_property_test.cpp
+  /// requires the default to match netlist for netlist.
   bool incremental = true;
   /// Conflict cap for the pass-level SAT guard; 0 = unlimited. Random
   /// simulation always runs in full, so a budget-out can only ever keep a

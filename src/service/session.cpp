@@ -6,14 +6,10 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "core/dff_insertion.hpp"
-#include "core/t1_detection.hpp"
 #include "incr/incremental_view.hpp"
 #include "network/io.hpp"
 #include "obs/metrics.hpp"
-#include "opt/pass.hpp"
 #include "service/canonical.hpp"
-#include "verify/physics_check.hpp"
 
 namespace t1sfq::service {
 
@@ -47,13 +43,13 @@ const char* to_string(EcoFallback fallback) {
   return "none";
 }
 
-/// Mapped network + the view pinned to it. Heap-held (unique_ptr) so the
-/// view's Network& stays valid for the session's lifetime; the view is
-/// destroyed before the network by member order.
+/// The session's flow state: the result of run_flow's logical half (its
+/// `mapped` network is where ECO patches land) and the view pinned to that
+/// network. Heap-held (unique_ptr) so the view's Network& stays valid for the
+/// session's lifetime; the view is destroyed before the result by member
+/// order.
 struct EcoSession::State {
-  explicit State(const CostModel& m) : model(m) {}
-  Network mapped;
-  CostModel model;
+  FlowResult result;
   std::optional<IncrementalView> view;
 };
 
@@ -128,64 +124,31 @@ void EcoSession::establish_(const FlowRequest& request, FlowResponse& resp) {
   resp.tier = FlowTier::Cold;
   params_ = request.to_flow_params();
   config_sig_ = request.config_signature();
-  if (params_.use_t1 && params_.clk.phases < 4) {
-    throw std::invalid_argument(
-        "run_flow: T1 cells need >= 4 clock phases (three distinct landing slots)");
-  }
-
-  FlowTimings tm;
-  FlowMetrics metrics;
-  const Clock::time_point t0 = Clock::now();
-  Network clean = request.network.cleanup();
-  tm.cleanup_ms = ms_since(t0);
-
   eco_capable_ = !params_.opt.enable;
+
+  const Clock::time_point t0 = Clock::now();
+  // The flow runs on the cleaned network the session keeps as its base, as
+  // the server's stateless tier does; cleanup is idempotent, so the result
+  // is run_flow's on the request's own network.
+  Network clean = request.network.cleanup();
   state_.reset();  // old view dies before its network
-  state_ = std::make_unique<State>(params_.cost());
-  state_->mapped = clean;
-
-  metrics.pre_opt_gates = state_->mapped.num_gates();
-  metrics.pre_opt_depth = state_->mapped.depth();
-  metrics.pre_opt_area_jj = state_->model.network_breakdown(state_->mapped).total();
-  if (params_.opt.enable) {
-    const Clock::time_point t1 = Clock::now();
-    OptParams op = params_.opt;
-    op.clk = params_.clk;
-    op.lib = params_.lib;
-    op.area = params_.area;
-    const OptSummary opt = optimize(state_->mapped, op);
-    metrics.opt_applied = opt.total_applied;
-    tm.opt_ms = ms_since(t1);
+  state_ = std::make_unique<State>();
+  run_logical_flow(clean, params_, state_->result, state_->view);
+  if (eco_capable_ && !state_->view) {
+    // ECO patches go through a view; detection leaves one only with T1 on.
+    // View-seeded assignment is pinned identical to the from-scratch one.
+    state_->view.emplace(state_->result.mapped, params_.cost(), /*track_plan=*/true);
   }
-  metrics.opt_gates = state_->mapped.num_gates();
-  metrics.opt_depth = state_->mapped.depth();
-  metrics.opt_area_jj = state_->model.network_breakdown(state_->mapped).total();
-
-  det_ = T1DetectionStats{};
-  if (params_.use_t1) {
-    const Clock::time_point t1 = Clock::now();
-    state_->view.emplace(state_->mapped, state_->model, /*track_plan=*/true);
-    det_ = detect_and_replace_t1(state_->mapped, state_->model, params_.detection,
-                                 &*state_->view);
-    tm.detect_ms = ms_since(t1);
-  } else {
-    // View-seeded assignment is pinned identical to the legacy scheduler, so
-    // the no-T1 session path may share the code below.
-    state_->view.emplace(state_->mapped, state_->model, /*track_plan=*/true);
-  }
-  metrics.t1_found = det_.found;
-  metrics.t1_used = det_.used;
-
   base_ = std::move(clean);
+  finish_flow_(t0, resp);
+
   if (eco_capable_) {
     // Recover the base→mapped correspondence: to the matcher, the T1 rewrite
     // is just a set of replacements, so surviving nodes pair up exactly.
-    base_map_ = diff_networks(base_, state_->mapped).old_to_new;
+    base_map_ = diff_networks(base_, state_->result.mapped).old_to_new;
   } else {
     base_map_.clear();
   }
-
-  finish_flow_(base_, metrics, tm, resp);
   last_key_ = request_key(config_sig_, base_);
   resp.cache_key = last_key_;
   established_ = true;
@@ -206,7 +169,7 @@ EcoFallback EcoSession::eligibility_(const NetDiff& d, const Network& clean,
     return EcoFallback::TooLarge;
   }
 
-  const Network& mapped = state_->mapped;
+  const Network& mapped = state_->result.mapped;
   std::vector<NodeId> seeds;  // mapped-side nodes the patch will touch
   for (const NodeId n : d.dirty_new) {
     const GateType t = clean.node(n).type;
@@ -261,19 +224,20 @@ EcoFallback EcoSession::eligibility_(const NetDiff& d, const Network& clean,
 }
 
 void EcoSession::apply_eco_(const NetDiff& d, Network& clean, FlowResponse& resp) {
-  Network& mapped = state_->mapped;
+  FlowResult& res = state_->result;
+  Network& mapped = res.mapped;
   IncrementalView& view = *state_->view;
 
-  FlowTimings tm;
-  FlowMetrics metrics;
-  metrics.pre_opt_gates = clean.num_gates();
-  metrics.pre_opt_depth = clean.depth();
-  metrics.pre_opt_area_jj = state_->model.network_breakdown(clean).total();
-  metrics.opt_gates = metrics.pre_opt_gates;  // eco sessions run with opt off
-  metrics.opt_depth = metrics.pre_opt_depth;
-  metrics.opt_area_jj = metrics.pre_opt_area_jj;
-  metrics.t1_found = det_.found;
-  metrics.t1_used = det_.used;
+  // The patch stands in for run_flow's logical half: the input metrics are
+  // the edited network's (eco sessions run with opt off), the T1 counts stay
+  // the committed detection's.
+  res.metrics.pre_opt_gates = clean.num_gates();
+  res.metrics.pre_opt_depth = clean.depth();
+  res.metrics.pre_opt_area_jj = view.model().network_breakdown(clean).total();
+  res.metrics.opt_gates = res.metrics.pre_opt_gates;
+  res.metrics.opt_depth = res.metrics.pre_opt_depth;
+  res.metrics.opt_area_jj = res.metrics.pre_opt_area_jj;
+  res.timings = FlowTimings{};
 
   const Clock::time_point t0 = Clock::now();
   std::vector<NodeId> created(clean.size(), kNullNode);
@@ -312,64 +276,31 @@ void EcoSession::apply_eco_(const NetDiff& d, Network& clean, FlowResponse& resp
   }
   base_map_ = std::move(base_map);
   base_ = std::move(clean);
-  tm.detect_ms = ms_since(t0);  // diff+patch replaces the detection stage
+  res.timings.detect_ms = ms_since(t0);  // diff+patch replaces the detection stage
 
-  finish_flow_(base_, metrics, tm, resp);
+  finish_flow_(t0, resp);
   resp.tier = FlowTier::Eco;
 }
 
-void EcoSession::finish_flow_(const Network& golden, FlowMetrics metrics,
-                              FlowTimings tm, FlowResponse& resp) {
-  const Clock::time_point t_start = Clock::now();
-  metrics.detect_area_jj = state_->model.network_breakdown(state_->mapped).total();
-
-  PhaseAssignmentParams pp;
-  pp.clk = params_.clk;
-  pp.engine = params_.engine;
-  pp.max_sweeps = params_.max_sweeps;
-  pp.milp_max_nodes = params_.milp_max_nodes;
-  pp.output_slack = params_.output_slack;
-  pp.incremental = params_.incremental_assignment;
-  const Clock::time_point t0 = Clock::now();
-  const PhaseAssignment assignment = assign_phases(*state_->view, pp);
-  tm.assign_ms = ms_since(t0);
-  if (!assignment.feasible) {
-    throw InfeasibleScheduleError("run_flow: no feasible phase assignment");
-  }
-
-  const Clock::time_point t1 = Clock::now();
-  const PhysicalNetlist physical = insert_dffs(state_->mapped, assignment, params_.clk);
-  tm.insert_ms = ms_since(t1);
-
-  metrics.num_dffs = physical.num_dffs;
-  metrics.num_splitters = physical.num_splitters;
-  metrics.num_gates = physical.net.num_gates() - physical.num_dffs;
-  metrics.breakdown =
-      state_->model.physical_breakdown(physical.net, physical.num_splitters);
-  metrics.area_jj = metrics.breakdown.total();
-  metrics.depth_cycles = params_.clk.cycles(assignment.output_stage - 1);
-
-  if (params_.physics_check) {
-    const Clock::time_point t2 = Clock::now();
-    const verify::PhysicsReport report =
-        verify::physics_check(physical, params_.clk, golden, params_.physics);
-    tm.physics_ms = ms_since(t2);
-    if (!report.ok) {
-      throw PhysicsViolationError("run_flow: " + report.summary());
-    }
-  }
-  tm.total_ms = tm.cleanup_ms + tm.opt_ms + tm.detect_ms + ms_since(t_start);
+void EcoSession::finish_flow_(Clock::time_point t_start, FlowResponse& resp) {
+  FlowResult& res = state_->result;
+  run_physical_flow(base_, params_, res, state_->view ? &*state_->view : nullptr);
+  res.timings.total_ms = ms_since(t_start);
 
   resp.ok = true;
   resp.error = ErrorCode::Internal;
   resp.message.clear();
-  resp.metrics = metrics;
-  resp.timings = tm;
+  resp.metrics = res.metrics;
+  resp.timings = res.timings;
 
   std::ostringstream blif;
-  write_blif(physical.net, blif);
+  write_blif(res.physical.net, blif);
   last_netlist_ = blif.str();
-  last_canon_ = canonical_text(physical);
+  last_canon_ = canonical_text(res.physical);
+  // The next serve needs only the logical state: drop the physical netlist
+  // and its schedule once they are serialized.
+  res.physical = PhysicalNetlist{};
+  res.assignment = PhaseAssignment{};
   last_ = resp;
   last_.netlist_blif.clear();
   obs::count("service.session.flows");

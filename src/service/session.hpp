@@ -2,18 +2,20 @@
 /// \file session.hpp
 /// \brief ECO re-synthesis sessions: the daemon's stateful tier.
 ///
-/// A session keeps a submitted circuit's flow state alive between requests:
-/// the cleaned pre-detection network (the *base*), the post-detection mapped
-/// network, the live `IncrementalView` over it, and the base→mapped node
+/// A session runs the two halves of `run_flow` (core/flow.hpp) itself and
+/// keeps the logical half's state alive between requests: the cleaned
+/// pre-detection network (the *base*), the post-detection mapped network,
+/// the live `IncrementalView` over it, and the base→mapped node
 /// correspondence (itself recovered with `diff_networks` — T1 rewrites look
 /// like replacements to the matcher). When the client re-submits an edited
 /// netlist, the edit is diffed against the base (service/netdiff.hpp) and —
 /// when eligible — applied to the mapped network as exactly the journaled
 /// edits the view maintains (`sync` for created nodes, `replace` for moved
 /// consumers, `kill_cone` for the dead region), followed by a compaction the
-/// view survives via `rebind_after_cleanup`. Only phase assignment (seeded
-/// from the maintained view state) and DFF insertion re-run; the committed
-/// T1 detection decisions are reused.
+/// view survives via `rebind_after_cleanup`. Only the physical half re-runs
+/// (phase assignment seeded from the maintained view state, DFF insertion,
+/// metrics, the physics oracle); the committed T1 detection decisions are
+/// reused. The physical netlist is freed once it has been serialized.
 ///
 /// Contract: reusing detection is exact when the edit does not disturb the
 /// detection inputs — the eligibility checks below enforce the structural
@@ -25,6 +27,7 @@
 /// counted. Ineligible edits fall back to a cold re-establish, with the
 /// reason reported as an `EcoFallback` (and an obs counter by the server).
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -92,14 +95,15 @@ class EcoSession {
   std::string last_canonical() const;
 
  private:
-  struct State;  // mapped network + pinned IncrementalView (session.cpp)
+  struct State;  // logical FlowResult + the view pinned to it (session.cpp)
 
   void establish_(const FlowRequest& request, FlowResponse& resp);
   EcoFallback eligibility_(const NetDiff& d, const Network& clean,
                            const SessionConfig& cfg) const;
   void apply_eco_(const NetDiff& d, Network& clean, FlowResponse& resp);
-  void finish_flow_(const Network& golden, FlowMetrics metrics, FlowTimings tm,
-                    FlowResponse& resp);
+  /// Runs the physical half on the held logical state against the base and
+  /// records the response (total time measured from \p t_start).
+  void finish_flow_(std::chrono::steady_clock::time_point t_start, FlowResponse& resp);
 
   std::string id_;
   mutable std::mutex mu_;
@@ -109,11 +113,10 @@ class EcoSession {
   std::string config_sig_;
   uint64_t last_key_ = 0;
   FlowParams params_{};
-  T1DetectionStats det_{};
 
   Network base_;                  ///< cleaned pre-detection network
   std::vector<NodeId> base_map_;  ///< base id → mapped id (kNullNode: absorbed)
-  std::unique_ptr<State> state_;  ///< mapped network + live view
+  std::unique_ptr<State> state_;  ///< logical flow result + live view
 
   FlowResponse last_;          ///< last successful response (netlist stripped)
   std::string last_netlist_;   ///< BLIF of the last physical netlist

@@ -1,12 +1,16 @@
 /// Property-based testing of the optimization subsystem on random networks:
 /// for any random DAG of SFQ cells, the standard pipeline must produce a
-/// SAT-equivalent network that regresses neither depth nor gate count, and
-/// whatever it produces must still survive the full flow.
+/// SAT-equivalent network that regresses neither depth nor gate count, the
+/// same network as the full-recompute reference (`OptParams::incremental =
+/// false`), and whatever it produces must still survive the full flow.
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/flow.hpp"
 #include "network/equivalence.hpp"
+#include "network/io.hpp"
 #include "opt/pass.hpp"
 #include "random_network_test_util.hpp"
 #include "sfq/pulse_sim.hpp"
@@ -25,6 +29,7 @@ TEST_P(OptProperty, EquivalentAndNeverWorse) {
   const std::size_t gates_before = net.num_gates();
   const uint32_t depth_before = net.depth();
   const int64_t dffs_before = estimate_plan_dffs(net, MultiphaseConfig{4});
+  Network reference = net;
 
   const OptSummary s = optimize(net, OptParams{});
 
@@ -42,6 +47,15 @@ TEST_P(OptProperty, EquivalentAndNeverWorse) {
   for (const PassStats& ps : s.passes) {
     EXPECT_NE(ps.verdict, PassVerdict::Reverted) << "seed " << seed << " " << ps.name;
   }
+  // 5. The delta-maintained analysis makes the same decisions as the
+  //    full-recompute reference, netlist for netlist.
+  OptParams full;
+  full.incremental = false;
+  optimize(reference, full);
+  std::ostringstream got, want;
+  write_blif(net, got);
+  write_blif(reference, want);
+  EXPECT_EQ(got.str(), want.str()) << "seed " << seed;
 }
 
 TEST_P(OptProperty, OptimizedNetworksSurviveTheFullFlow) {

@@ -6,8 +6,9 @@
 ///
 /// Everything here drives the same obs::resultdb API that bench/dbtool.cpp
 /// and the `--db` flag of the bench drivers wrap, so a green suite means the
-/// CI gate's C++ side behaves; scripts/test_check_bench_regression.sh covers
-/// the python re-implementation with the same cases.
+/// CI gate (`dbtool gate`) behaves: pass inside the bands, ratio regression
+/// with counter attribution, exact metric drift, coverage loss, and corrupt
+/// history lines skipped and counted.
 
 #include <gtest/gtest.h>
 

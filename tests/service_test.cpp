@@ -286,47 +286,56 @@ TEST(ServiceServer, WarmHitSurvivesRenumbering) {
 }
 
 TEST(ServiceServer, EcoProgressionIsBitIdenticalToCold) {
-  ServerConfig cfg;
-  cfg.disk_cache = false;
-  cfg.session.verify = true;  // shadow-run the cold flow after every ECO
-  Server server(cfg);
+  // With T1 off the session still schedules from a view it builds itself,
+  // while the stateless flow schedules from scratch: the one place the two
+  // take different assignment paths.
+  for (const bool t1 : {true, false}) {
+    SCOPED_TRACE(t1 ? "use_t1(true)" : "use_t1(false)");
+    const auto request = [t1](const Network& net, const std::string& session) {
+      return FlowRequest::Builder(net).session(session).use_t1(t1).build();
+    };
+    ServerConfig cfg;
+    cfg.disk_cache = false;
+    cfg.session.verify = true;  // shadow-run the cold flow after every ECO
+    Server server(cfg);
 
-  const Network base = sparse_random(2000);
-  const FlowResponse est = server.dispatch(request_for(base, "eco"));
-  ASSERT_TRUE(est.ok) << est.message;
-  EXPECT_EQ(est.tier, FlowTier::Cold);
+    const Network base = sparse_random(2000);
+    const FlowResponse est = server.dispatch(request(base, "eco"));
+    ASSERT_TRUE(est.ok) << est.message;
+    EXPECT_EQ(est.tier, FlowTier::Cold);
 
-  // Probe single-gate edits until one serves on the ECO tier (edits landing
-  // in a T1 region legitimately fall back cold).
-  Network session_base = base;
-  FlowResponse eco;
-  bool got_eco = false;
-  for (unsigned k = 0; k < 12 && !got_eco; ++k) {
-    Network edited("");
-    ASSERT_TRUE(edited_variant(session_base, 1 + k * 29, &edited));
-    const FlowResponse r = server.dispatch(request_for(edited, "eco"));
-    ASSERT_TRUE(r.ok) << r.message;
-    session_base = std::move(edited);
-    if (r.tier == FlowTier::Eco) {
-      eco = r;
-      got_eco = true;
+    // Probe single-gate edits until one serves on the ECO tier (edits
+    // landing in a T1 region legitimately fall back cold).
+    Network session_base = base;
+    FlowResponse eco;
+    bool got_eco = false;
+    for (unsigned k = 0; k < 12 && !got_eco; ++k) {
+      Network edited("");
+      ASSERT_TRUE(edited_variant(session_base, 1 + k * 29, &edited));
+      const FlowResponse r = server.dispatch(request(edited, "eco"));
+      ASSERT_TRUE(r.ok) << r.message;
+      session_base = std::move(edited);
+      if (r.tier == FlowTier::Eco) {
+        eco = r;
+        got_eco = true;
+      }
     }
-  }
-  ASSERT_TRUE(got_eco) << "no probe served on the ECO tier";
-  // verify-mode accounting: a canonical mismatch would have been demoted.
-  EXPECT_EQ(server.stats().eco_mismatches, 0u);
-  EXPECT_GE(server.stats().eco, 1u);
+    ASSERT_TRUE(got_eco) << "no probe served on the ECO tier";
+    // verify-mode accounting: a canonical mismatch would have been demoted.
+    EXPECT_EQ(server.stats().eco_mismatches, 0u);
+    EXPECT_GE(server.stats().eco, 1u);
 
-  // The ECO answer must equal an independent cold run of the same netlist.
-  Server fresh(ServerConfig{.disk_cache = false});
-  const FlowResponse cold = fresh.dispatch(request_for(session_base));
-  ASSERT_TRUE(cold.ok) << cold.message;
-  EXPECT_EQ(eco.metrics.num_gates, cold.metrics.num_gates);
-  EXPECT_EQ(eco.metrics.num_dffs, cold.metrics.num_dffs);
-  EXPECT_EQ(eco.metrics.num_splitters, cold.metrics.num_splitters);
-  EXPECT_EQ(eco.metrics.area_jj, cold.metrics.area_jj);
-  EXPECT_EQ(eco.metrics.depth_cycles, cold.metrics.depth_cycles);
-  EXPECT_EQ(eco.metrics.t1_used, cold.metrics.t1_used);
+    // The ECO answer must equal an independent cold run of the same netlist.
+    Server fresh(ServerConfig{.disk_cache = false});
+    const FlowResponse cold = fresh.dispatch(request(session_base, ""));
+    ASSERT_TRUE(cold.ok) << cold.message;
+    EXPECT_EQ(eco.metrics.num_gates, cold.metrics.num_gates);
+    EXPECT_EQ(eco.metrics.num_dffs, cold.metrics.num_dffs);
+    EXPECT_EQ(eco.metrics.num_splitters, cold.metrics.num_splitters);
+    EXPECT_EQ(eco.metrics.area_jj, cold.metrics.area_jj);
+    EXPECT_EQ(eco.metrics.depth_cycles, cold.metrics.depth_cycles);
+    EXPECT_EQ(eco.metrics.t1_used, cold.metrics.t1_used);
+  }
 }
 
 TEST(ServiceServer, ConfigChangeFallsBackCold) {
