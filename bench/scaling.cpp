@@ -24,8 +24,8 @@
 /// (src/part/, `OptParams::partition_jobs`) against the sequential pipeline
 /// on the same inputs: the opt stage is timed both ways, the partitioned
 /// result is SAT-checked equivalent against the sequential one (two-tier,
-/// bounded budget — only a proven NotEquivalent fails), and the shard-level
-/// sampled SAT checks must report zero rejections.
+/// bounded budget — only a proven NotEquivalent fails), and the proofs of
+/// every changed shard must report zero rejections.
 ///
 /// Usage: scaling [--points g1,g2,...] [--smoke]
 ///                [--json <path>] [--db <path>] [--part] [--part-jobs N]
@@ -248,9 +248,9 @@ PartRace race_partition(const Network& input, unsigned jobs,
   r.gates_in = base.num_gates();
   r.gates_out = par.num_gates();
   r.depth = par.depth();
-  // Two-tier full-output check with a bounded per-output budget: a proven
+  // Two-tier full-output check with a bounded per-SAT-call budget: a proven
   // NotEquivalent hard-fails the run; a budget-capped Unknown is reported
-  // but passes (the shard-level sampled proofs already ran unconditionally).
+  // but passes (every changed shard was already proved against its input).
   r.equiv = check_equivalence(par, seq, /*sim_rounds=*/8, sat_budget).result;
   return r;
 }
@@ -292,7 +292,7 @@ int run_partition_mode(const std::vector<unsigned>& points, unsigned jobs,
     }
     if (r.stats.sat_rejected_shards != 0) {
       std::cout << "FAIL: " << r.stats.sat_rejected_shards
-                << " shard(s) failed their sampled SAT check on " << net.name()
+                << " shard(s) failed their SAT check on " << net.name()
                 << "\n";
       ok = false;
     }

@@ -23,7 +23,7 @@
 ///   --physics runs the pulse-level physics oracle (verify/physics_check.hpp)
 ///   on every flow result and adds physics_* fields to the emitted records;
 ///   an oracle failure fails the run with the report's witness vector.
-///   --sat-budget C caps the SAT proof at C conflicts per output (default
+///   --sat-budget C caps each SAT call of the proof at C conflicts (default
 ///   5000; simulation and pulse-level checks always run in full).
 ///   --opt runs all three flows behind the pre-mapping optimizer (src/opt/).
 ///   The default reproduces the paper (no optimization); see

@@ -24,20 +24,13 @@ Aig::Lit Aig::add_and(Lit a, Lit b) {
   if (a == b) return a;
   if (a == lit_not(b)) return kFalse;
 
+  // The key is the ordered fanin pair itself, so it names at most one node.
   const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-  auto& bucket = strash_[key];
-  for (const uint32_t cand : bucket) {
-    if (nodes_[cand].fanin0 == a && nodes_[cand].fanin1 == b) {
-      return make_lit(cand, false);
-    }
+  const auto [it, inserted] = strash_.try_emplace(key, static_cast<uint32_t>(nodes_.size()));
+  if (inserted) {
+    nodes_.push_back(Node{a, b});
   }
-  Node n;
-  n.fanin0 = a;
-  n.fanin1 = b;
-  nodes_.push_back(n);
-  const uint32_t node = static_cast<uint32_t>(nodes_.size() - 1);
-  bucket.push_back(node);
-  return make_lit(node, false);
+  return make_lit(it->second, false);
 }
 
 Aig::Lit Aig::add_xor(Lit a, Lit b) {

@@ -81,10 +81,10 @@ private:
   };
 
   std::string name_;
-  std::vector<Node> nodes_{Node{}};  // node 0 = constant false
+  std::vector<Node> nodes_ = std::vector<Node>(1);  // node 0 = constant false
   std::vector<uint32_t> pis_;
   std::vector<Lit> pos_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> strash_;
+  std::unordered_map<uint64_t, uint32_t> strash_;  ///< (fanin0, fanin1) -> node
 };
 
 }  // namespace t1sfq

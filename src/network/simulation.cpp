@@ -1,6 +1,8 @@
 #include "network/simulation.hpp"
 
+#include <bit>
 #include <cassert>
+#include <random>
 #include <stdexcept>
 
 namespace t1sfq {
@@ -85,29 +87,53 @@ std::vector<TruthTable> simulate_truth_tables(const Network& net) {
   return result;
 }
 
+std::vector<std::vector<uint64_t>> random_pattern_words(std::size_t num_pis, unsigned rounds,
+                                                        uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<uint64_t>> words(rounds, std::vector<uint64_t>(num_pis));
+  for (unsigned r = 0; r < rounds; ++r) {
+    for (auto& w : words[r]) {
+      w = rng();
+      if (r == 0) {
+        w = (w & ~uint64_t{3}) | 2;  // bit 0: all-zero pattern, bit 1: all-one
+      }
+    }
+  }
+  return words;
+}
+
+std::optional<SimulationMismatch> random_simulation_mismatch(const Network& a, const Network& b,
+                                                             unsigned rounds, uint64_t seed) {
+  if (a.num_pis() != b.num_pis() || a.num_pos() != b.num_pos()) {
+    throw std::invalid_argument("random_simulation_mismatch: interface mismatch");
+  }
+  for (const auto& pi_words : random_pattern_words(a.num_pis(), rounds, seed)) {
+    const auto oa = simulate_words(a, pi_words);
+    const auto ob = simulate_words(b, pi_words);
+    for (std::size_t p = 0; p < oa.size(); ++p) {
+      const uint64_t diff = oa[p] ^ ob[p];
+      if (diff == 0) {
+        continue;
+      }
+      const unsigned bit = static_cast<unsigned>(std::countr_zero(diff));
+      SimulationMismatch m;
+      m.output = p;
+      m.inputs.reserve(pi_words.size());
+      for (const uint64_t w : pi_words) {
+        m.inputs.push_back((w >> bit) & 1);
+      }
+      return m;
+    }
+  }
+  return std::nullopt;
+}
+
 bool random_simulation_equal(const Network& a, const Network& b, unsigned rounds,
                              uint64_t seed) {
   if (a.num_pis() != b.num_pis() || a.num_pos() != b.num_pos()) {
     return false;
   }
-  std::mt19937_64 rng(seed);
-  for (unsigned r = 0; r < rounds; ++r) {
-    std::vector<uint64_t> pi_words(a.num_pis());
-    for (auto& w : pi_words) {
-      w = rng();
-    }
-    if (r == 0) {
-      // Include the all-zero and all-one corner patterns in the first round:
-      // bit 0 of every PI word is 0, bit 1 is 1.
-      for (auto& w : pi_words) {
-        w = (w & ~uint64_t{3}) | 2;
-      }
-    }
-    if (simulate_words(a, pi_words) != simulate_words(b, pi_words)) {
-      return false;
-    }
-  }
-  return true;
+  return !random_simulation_mismatch(a, b, rounds, seed);
 }
 
 }  // namespace t1sfq

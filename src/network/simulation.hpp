@@ -9,7 +9,7 @@
 /// timing), and T1 ports evaluate their XOR3/MAJ3/OR3 output functions.
 
 #include <cstdint>
-#include <random>
+#include <optional>
 #include <vector>
 
 #include "network/network.hpp"
@@ -32,9 +32,28 @@ std::vector<uint64_t> simulate_all_words(const Network& net,
 /// complete truth table over the PIs (PI 0 is variable 0).
 std::vector<TruthTable> simulate_truth_tables(const Network& net);
 
-/// Draws `rounds` word-parallel random assignments (64*rounds vectors) and
-/// returns true iff the two networks agree on every PO for all of them.
-/// Networks must have matching PI/PO counts.
+/// The PI words of `rounds` word-parallel random assignments drawn from
+/// \p seed (`result[round][pi]`). Round 0 carries the all-zero pattern in bit
+/// 0 and the all-one pattern in bit 1 of every word.
+std::vector<std::vector<uint64_t>> random_pattern_words(std::size_t num_pis, unsigned rounds,
+                                                        uint64_t seed = 0x5eed);
+
+/// A PI assignment on which two networks differ, and the first PO it reaches.
+struct SimulationMismatch {
+  std::vector<bool> inputs;
+  std::size_t output = 0;
+};
+
+/// Simulates both networks on `random_pattern_words(rounds, seed)` and returns
+/// the first differing pattern (earliest round, lowest PO, lowest bit), or
+/// nothing when they agree on all of them. Throws std::invalid_argument when
+/// the PI/PO counts differ.
+std::optional<SimulationMismatch> random_simulation_mismatch(const Network& a, const Network& b,
+                                                             unsigned rounds = 16,
+                                                             uint64_t seed = 0x5eed);
+
+/// True iff the networks have matching PI/PO counts and
+/// `random_simulation_mismatch` finds no differing pattern.
 bool random_simulation_equal(const Network& a, const Network& b, unsigned rounds = 16,
                              uint64_t seed = 0x5eed);
 

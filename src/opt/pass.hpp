@@ -71,10 +71,6 @@ struct OptParams {
   /// Below this many gates the partitioned engine falls back to the
   /// sequential pipeline (shard overhead dominates).
   std::size_t partition_min_gates = 4000;
-  /// SAT-check every Nth changed shard commit against its pre-optimization
-  /// sub-network (0 = off). Independent of `verify`, which guards every
-  /// shard's passes internally.
-  unsigned partition_sample_every = 8;
   /// Run the boundary-stitching round (re-partition with offset seams and
   /// re-optimize the regions holding surviving frozen-boundary roots).
   bool partition_stitch = true;

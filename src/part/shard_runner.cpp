@@ -7,7 +7,6 @@
 #include "benchmarks/runner.hpp"
 #include "incr/incremental_view.hpp"
 #include "network/equivalence.hpp"
-#include "network/simulation.hpp"
 #include "obs/trace.hpp"
 #include "part/partitioner.hpp"
 
@@ -30,7 +29,7 @@ struct ShardWork {
   std::vector<NodeId> out_parents;  ///< parent id per sub PO, pos() order
   std::size_t applied = 0;          ///< sub-level transforms committed
   bool sat_checked = false;
-  bool rejected = false;  ///< sampled equivalence check falsified the shard
+  bool rejected = false;  ///< the shard's equivalence check falsified it
 };
 
 Shard extract_region(const Network& net, const Region& region) {
@@ -67,19 +66,14 @@ Shard extract_region(const Network& net, const Region& region) {
 }
 
 /// The concurrent part: extract, optimize with the sequential pipeline, and
-/// (sampled) SAT-check the shard commit. Pure function of (net, region,
-/// params) — reads the parent network only, so any thread may run it.
-void run_shard(const Network& net, const Region& region, std::size_t index,
-               const OptParams& params, unsigned rounds, ShardWork& out) {
+/// prove the shard commit against the pre-optimization sub-network. Pure
+/// function of (net, region, params) — reads the parent network only, so any
+/// thread may run it.
+void run_shard(const Network& net, const Region& region, const OptParams& params,
+               unsigned rounds, ShardWork& out) {
   out.out_parents = region.outputs;
   Shard s = extract_region(net, region);
-
-  const bool sampled = params.partition_sample_every > 0 &&
-                       index % params.partition_sample_every == 0;
-  Network before;
-  if (sampled) {
-    before = s.sub;
-  }
+  const Network before = s.sub;
 
   OptParams sp = params;
   sp.partition_jobs = 0;  // shards always run the sequential pipeline
@@ -87,38 +81,12 @@ void run_shard(const Network& net, const Region& region, std::size_t index,
   const OptSummary ss = optimize(s.sub, sp);
   out.applied = ss.total_applied;
 
-  if (sampled && out.applied > 0) {
+  if (out.applied > 0) {
     out.sat_checked = true;
-    // Word-parallel simulation falsifies over *all* outputs; the SAT proof
-    // then covers a strided sample of at most 64 output miters. Shards on
-    // sink-heavy families export most of their members, and a full
-    // per-output proof would cost more than the optimization it validates.
-    out.rejected = !random_simulation_equal(s.sub, before, /*rounds=*/8);
-    if (!out.rejected) {
-      SatSolver solver;
-      std::vector<Lit> pi_lits;
-      const auto la = encode_network(s.sub, solver, pi_lits);
-      const auto lb = encode_network(before, solver, pi_lits);
-      const std::size_t n = s.sub.num_pos();
-      const std::size_t stride = std::max<std::size_t>(1, n / 64);
-      for (std::size_t p = 0; p < n; p += stride) {
-        const Lit ya = la[s.sub.po(p)];
-        const Lit yb = lb[before.po(p)];
-        const Lit diff = pos_lit(solver.new_var());
-        solver.add_clause({negate(diff), ya, yb});
-        solver.add_clause({negate(diff), negate(ya), negate(yb)});
-        solver.add_clause({diff, negate(ya), yb});
-        solver.add_clause({diff, ya, negate(yb)});
-        const SatResult r = solver.solve({diff}, params.verify_conflict_budget);
-        if (r == SatResult::Sat) {
-          out.rejected = true;
-          break;
-        }
-        if (r == SatResult::Unknown) {
-          break;  // budget exhausted: inconclusive, never a rejection
-        }
-      }
-    }
+    // A budget-out is inconclusive, never a rejection.
+    out.rejected = check_equivalence(s.sub, before, /*sim_rounds=*/8,
+                                     params.verify_conflict_budget)
+                       .result == EquivalenceResult::NotEquivalent;
   }
   out.shard = std::move(s);
 }
@@ -187,7 +155,7 @@ std::size_t merge_shard(IncrementalView& view, const ShardWork& work,
 /// merged shards).
 std::pair<std::size_t, std::size_t> run_phase(
     Network& net, const CostModel& model, const Partition& partition,
-    const std::vector<char>& selected, std::size_t index_base, unsigned rounds,
+    const std::vector<char>& selected, unsigned rounds,
     const OptParams& params, PartitionOptStats& st, std::size_t& replaced_out) {
   std::vector<ShardWork> work(partition.regions.size());
   std::vector<bench::Job> jobs;
@@ -195,8 +163,8 @@ std::pair<std::size_t, std::size_t> run_phase(
     if (!selected[i] || partition.regions[i].outputs.empty()) {
       continue;
     }
-    jobs.push_back([&net, &partition, &work, &params, i, index_base, rounds](std::ostream&) {
-      run_shard(net, partition.regions[i], index_base + i, params, rounds, work[i]);
+    jobs.push_back([&net, &partition, &work, &params, i, rounds](std::ostream&) {
+      run_shard(net, partition.regions[i], params, rounds, work[i]);
     });
   }
   {
@@ -290,8 +258,7 @@ OptSummary optimize_partitioned(Network& net, const OptParams& params,
   shard_ps.depth_before = net.depth();
 
   const std::vector<char> all(partition.regions.size(), 1);
-  const auto [merged, applied] = run_phase(net, model, partition, all,
-                                           /*index_base=*/0, params.rounds,
+  const auto [merged, applied] = run_phase(net, model, partition, all, params.rounds,
                                            params, st, st.replaced_roots);
   st.shards_changed = merged;
   summary.total_applied += applied;
@@ -357,9 +324,8 @@ OptSummary optimize_partitioned(Network& net, const OptParams& params,
       stitch_ps.gates_before = net.num_gates();
       stitch_ps.depth_before = net.depth();
       const auto [smerged, sapplied] =
-          run_phase(net, model, stitch, selected,
-                    /*index_base=*/partition.regions.size(), /*rounds=*/1,
-                    params, st, st.stitch_replaced_roots);
+          run_phase(net, model, stitch, selected, /*rounds=*/1, params, st,
+                    st.stitch_replaced_roots);
       (void)smerged;
       summary.total_applied += sapplied;
       net.sweep_dangling();

@@ -44,8 +44,8 @@ struct PartitionOptStats {
   std::size_t shards_changed = 0;   ///< shards whose optimization applied > 0
   std::size_t replaced_roots = 0;   ///< boundary roots rewired to shard logic
   std::size_t guard_skipped_roots = 0;  ///< roots skipped by the level guard
-  std::size_t sat_checked_shards = 0;   ///< sampled shard equivalence checks
-  std::size_t sat_rejected_shards = 0;  ///< sampled checks that failed (shard dropped)
+  std::size_t sat_checked_shards = 0;   ///< changed shards proved against their input
+  std::size_t sat_rejected_shards = 0;  ///< shards those checks falsified (dropped)
   std::size_t stitch_regions = 0;       ///< regions re-optimized by the stitch round
   std::size_t stitch_replaced_roots = 0;
 };
