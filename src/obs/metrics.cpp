@@ -130,26 +130,26 @@ void Registry::set_max(std::string_view name, int64_t value) {
   metrics_.emplace(m.name, m);
 }
 
-void Registry::observe_us(std::string_view name, uint64_t us) {
+void Registry::observe_us(std::string_view name, uint64_t us, uint64_t samples) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = metrics_.find(name);
   if (it != metrics_.end()) {
     Metric& m = it->second;
-    m.count += 1;
-    m.sum_us += us;
+    m.count += samples;
+    m.sum_us += us * samples;
     if (us > m.max_us) {
       m.max_us = us;
     }
-    m.buckets[bucket_index(us)] += 1;
+    m.buckets[bucket_index(us)] += samples;
     return;
   }
   Metric m;
   m.name = std::string(name);
   m.kind = MetricKind::Histogram;
-  m.count = 1;
-  m.sum_us = us;
+  m.count = samples;
+  m.sum_us = us * samples;
   m.max_us = us;
-  m.buckets[bucket_index(us)] += 1;
+  m.buckets[bucket_index(us)] += samples;
   metrics_.emplace(m.name, m);
 }
 

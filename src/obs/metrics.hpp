@@ -81,7 +81,9 @@ class Registry {
   void add(std::string_view name, uint64_t delta);
   void set(std::string_view name, int64_t value);
   void set_max(std::string_view name, int64_t value);  ///< keeps the maximum
-  void observe_us(std::string_view name, uint64_t us);
+  /// Records \p samples samples of value \p us in one call, exactly as that
+  /// many single observations would (hot loops count per bucket, then flush).
+  void observe_us(std::string_view name, uint64_t us, uint64_t samples = 1);
 
   /// Current counter value (0 when absent). Intended for tests and exports.
   uint64_t counter(std::string_view name) const;
@@ -117,9 +119,9 @@ inline void gauge_max(std::string_view name, int64_t value) {
   }
 }
 
-inline void observe_us(std::string_view name, uint64_t us) {
-  if (enabled()) {
-    Registry::instance().observe_us(name, us);
+inline void observe_us(std::string_view name, uint64_t us, uint64_t samples = 1) {
+  if (enabled() && samples != 0) {
+    Registry::instance().observe_us(name, us, samples);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "sfq/pulse_sim.hpp"
 
 #include <algorithm>
-#include <array>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -47,114 +46,97 @@ std::string TimingViolation::describe() const {
   return os.str();
 }
 
+namespace {
+
+/// Buf (JTL) and T1Port entries are passive pins: they inherit their source's
+/// release. Every other node releases its pulse at its own stage.
+Stage release_of(const Node& node, NodeId id, const std::vector<Stage>& stage,
+                 const std::vector<Stage>& release) {
+  switch (node.type) {
+    case GateType::Buf:
+    case GateType::T1Port:
+      return release[node.fanin(0)];
+    default:
+      return stage[id];
+  }
+}
+
+}  // namespace
+
 std::vector<Stage> release_stages(const Network& net, const std::vector<Stage>& stage) {
   if (stage.size() < net.size()) {
     throw std::invalid_argument("release_stages: stage vector smaller than network");
   }
   std::vector<Stage> release(net.size(), 0);
   for (const NodeId id : net.topo_order()) {
-    const Node& node = net.node(id);
-    switch (node.type) {
-      case GateType::Buf:
-      case GateType::T1Port:
-        release[id] = release[node.fanin(0)];  // passive pin: no re-timing
-        break;
-      default:
-        release[id] = stage[id];
-    }
+    release[id] = release_of(net.node(id), id, stage, release);
   }
   return release;
 }
 
-PulseSimResult pulse_simulate(const Network& net, const std::vector<Stage>& stage,
-                              const MultiphaseConfig& clk,
-                              const std::vector<bool>& pi_values) {
+PulseProgram::PulseProgram(const Network& net, const std::vector<Stage>& stage,
+                           const MultiphaseConfig& clk)
+    : num_pis_(net.num_pis()), margin_histogram_(std::max(clk.phases, 1u), 0) {
   if (stage.size() < net.size()) {
-    throw std::invalid_argument("pulse_simulate: stage vector smaller than network");
+    throw std::invalid_argument("PulseProgram: stage vector smaller than network");
   }
-  if (pi_values.size() != net.num_pis()) {
-    throw std::invalid_argument("pulse_simulate: PI value count != num_pis()");
-  }
-  PulseSimResult result;
   const Stage n = static_cast<Stage>(clk.phases);
+  const auto record_margin = [&](int64_t margin) {
+    const auto bucket = std::min<std::size_t>(static_cast<std::size_t>(margin),
+                                              margin_histogram_.size() - 1);
+    ++margin_histogram_[bucket];
+    min_margin_ = checked_edges_ == 0 ? margin : std::min(min_margin_, margin);
+    ++checked_edges_;
+  };
 
-  std::vector<uint8_t> value(net.size(), 0);
-  std::vector<Stage> release(net.size(), 0);  // stage at which the pulse leaves
-
-  for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    value[net.pi(i)] = pi_values[i] ? 1 : 0;
-  }
-  for (const NodeId id : net.topo_order()) {
+  order_ = net.topo_order();
+  const uint32_t zero = static_cast<uint32_t>(order_.size());
+  std::vector<uint32_t> slot(net.size(), zero);
+  std::vector<Stage> release(net.size(), 0);
+  ops_.reserve(order_.size());
+  for (const NodeId id : order_) {
     const Node& node = net.node(id);
+    release[id] = release_of(node, id, stage, release);
+    // A port reads its body's three inputs: the count rule needs all three.
+    const Node& src = node.type == GateType::T1Port ? net.node(node.fanin(0)) : node;
+    Op op{node.type, node.port, {zero, zero, zero}};
+    for (uint8_t i = 0; i < src.num_fanins; ++i) {
+      op.in[i] = slot[src.fanin(i)];
+    }
+    slot[id] = static_cast<uint32_t>(ops_.size());
+    ops_.push_back(op);
+
     switch (node.type) {
       case GateType::Pi:
-        release[id] = stage[id];
-        break;
       case GateType::Const0:
-        value[id] = 0;
-        release[id] = stage[id];
-        break;
       case GateType::Const1:
-        value[id] = 1;
-        release[id] = stage[id];
-        break;
       case GateType::Buf:
-        value[id] = value[node.fanin(0)];
-        release[id] = release[node.fanin(0)];  // JTL: passive, no re-timing
-        break;
-      case GateType::T1Port: {
-        const Node& body = net.node(node.fanin(0));
-        unsigned pulses = 0;
-        for (unsigned i = 0; i < 3; ++i) {
-          pulses += value[body.fanin(i)];
-        }
-        bool v = false;
-        switch (node.port) {
-          case T1PortFn::Sum: v = pulses & 1; break;
-          case T1PortFn::Carry: v = pulses >= 2; break;
-          case T1PortFn::Or: v = pulses >= 1; break;
-          case T1PortFn::CarryN: v = pulses < 2; break;
-          case T1PortFn::OrN: v = pulses == 0; break;
-        }
-        value[id] = v ? 1 : 0;
-        release[id] = release[node.fanin(0)];
-        break;
-      }
+      case GateType::T1Port:
+        break;  // not a clocked consumer
       case GateType::T1: {
         const Stage sigma = stage[id];
-        // Gather (arrival stage, pulse present) for the three data inputs.
-        std::array<std::pair<Stage, bool>, 3> arrivals;
         for (unsigned i = 0; i < 3; ++i) {
           const NodeId f = node.fanin(i);
-          arrivals[i] = {release[f], value[f] != 0};
+          const Stage a = release[f];
           // Strictly inside the T1 clock cycle: sigma - n < arrival < sigma.
-          if (release[f] >= sigma || sigma - release[f] >= n) {
-            result.violations.push_back({ViolationKind::T1InputOutsideCycle, id, f,
-                                         release[f], sigma});
+          if (a >= sigma || sigma - a >= n) {
+            violations_.push_back({ViolationKind::T1InputOutsideCycle, id, f, a, sigma});
+          } else {
+            record_margin(std::min(a - (sigma - n) - 1, sigma - a - 1));
           }
         }
         for (unsigned i = 0; i < 3; ++i) {
           for (unsigned j = i + 1; j < 3; ++j) {
-            if (arrivals[i].first == arrivals[j].first) {
-              result.violations.push_back({ViolationKind::T1InputCollision, id,
-                                           node.fanin(j), arrivals[j].first, sigma});
+            const NodeId fj = node.fanin(j);
+            if (release[node.fanin(i)] == release[fj]) {
+              violations_.push_back(
+                  {ViolationKind::T1InputCollision, id, fj, release[fj], sigma});
             }
           }
         }
-        // Drive the state machine in arrival order, then clock R.
-        std::sort(arrivals.begin(), arrivals.end());
-        T1StateMachine fsm;
-        for (const auto& [t, pulse] : arrivals) {
-          if (pulse) {
-            fsm.on_t();
-          }
-        }
-        value[id] = fsm.on_r() ? 1 : 0;  // body value doubles as the S function
-        release[id] = sigma;
         break;
       }
-      default: {
-        // Ordinary clocked cell (logic gate or DFF).
+      default: {  // ordinary clocked cell (logic gate or DFF)
         const Stage sigma = stage[id];
         for (uint8_t i = 0; i < node.num_fanins; ++i) {
           const NodeId f = node.fanin(i);
@@ -162,26 +144,67 @@ PulseSimResult pulse_simulate(const Network& net, const std::vector<Stage>& stag
           if (ft == GateType::Const0 || ft == GateType::Const1) {
             continue;  // constants carry no pulse to park or collide with
           }
-          if (release[f] >= sigma) {
-            result.violations.push_back(
-                {ViolationKind::NonPositiveGap, id, f, release[f], sigma});
-          } else if (sigma - release[f] > n) {
-            result.violations.push_back(
-                {ViolationKind::GapExceedsWindow, id, f, release[f], sigma});
+          const Stage gap = sigma - release[f];
+          if (gap <= 0) {
+            violations_.push_back({ViolationKind::NonPositiveGap, id, f, release[f], sigma});
+          } else if (gap > n) {
+            violations_.push_back({ViolationKind::GapExceedsWindow, id, f, release[f], sigma});
+          } else {
+            record_margin(std::min(gap - 1, n - gap));
           }
         }
-        const uint64_t a = node.num_fanins > 0 ? value[node.fanin(0)] : 0;
-        const uint64_t b = node.num_fanins > 1 ? value[node.fanin(1)] : 0;
-        const uint64_t c = node.num_fanins > 2 ? value[node.fanin(2)] : 0;
-        value[id] = Network::eval_word(node.type, node.port, a, b, c) & 1;
-        release[id] = sigma;
       }
     }
   }
-
-  for (const NodeId po : net.pos()) {
-    result.po_values.push_back(value[po] != 0);
+  for (std::size_t i = 0; i < num_pis_; ++i) {
+    const uint32_t s = slot[net.pi(i)];
+    if (s != zero) {
+      ops_[s].in[0] = static_cast<uint32_t>(i);
+    }
   }
+  po_slots_.reserve(net.num_pos());
+  for (const NodeId po : net.pos()) {
+    po_slots_.push_back(slot[po]);
+  }
+}
+
+std::vector<uint64_t> PulseProgram::run(const std::vector<uint64_t>& pi_words) const {
+  if (pi_words.size() != num_pis_) {
+    throw std::invalid_argument("PulseProgram::run: PI word count != num_pis()");
+  }
+  // Network::eval_word's T1 rules are the state machine's outcome per lane:
+  // the body (S) is the loop's parity after the toggles, C* fired iff a
+  // second pulse arrived (majority), Q* iff any did (OR). Arrival order only
+  // matters for the timing checks, which the constructor already made.
+  std::vector<uint64_t> value(ops_.size() + 1, 0);
+  for (std::size_t k = 0; k < ops_.size(); ++k) {
+    const Op& op = ops_[k];
+    value[k] = op.type == GateType::Pi
+                   ? pi_words[op.in[0]]
+                   : Network::eval_word(op.type, op.port, value[op.in[0]], value[op.in[1]],
+                                        value[op.in[2]]);
+  }
+  std::vector<uint64_t> out;
+  out.reserve(po_slots_.size());
+  for (const uint32_t s : po_slots_) {
+    out.push_back(value[s]);
+  }
+  return out;
+}
+
+PulseSimResult pulse_simulate(const Network& net, const std::vector<Stage>& stage,
+                              const MultiphaseConfig& clk,
+                              const std::vector<bool>& pi_values) {
+  const PulseProgram program(net, stage, clk);
+  std::vector<uint64_t> pi_words(pi_values.size());
+  for (std::size_t i = 0; i < pi_values.size(); ++i) {
+    pi_words[i] = pi_values[i] ? 1 : 0;
+  }
+  PulseSimResult result;
+  for (const uint64_t word : program.run(pi_words)) {
+    result.po_values.push_back((word & 1) != 0);
+  }
+  result.violations = program.violations();
   return result;
 }
 
@@ -191,21 +214,23 @@ bool pulse_verify(const Network& net, const std::vector<Stage>& stage,
   if (net.num_pis() != golden.num_pis() || net.num_pos() != golden.num_pos()) {
     return false;
   }
+  const PulseProgram program(net, stage, clk);
+  if (!program.ok()) {
+    return false;
+  }
+  // Wave k of round r draws its PI bits in PI order from one stream, as a
+  // wave-at-a-time loop would; lane k of the round's words holds wave k.
   std::mt19937_64 rng(seed);
+  std::vector<uint64_t> pi_words(net.num_pis());
   for (unsigned r = 0; r < rounds; ++r) {
+    std::fill(pi_words.begin(), pi_words.end(), 0);
     for (unsigned k = 0; k < 64; ++k) {
-      std::vector<bool> pis(net.num_pis());
-      for (std::size_t i = 0; i < pis.size(); ++i) {
-        pis[i] = rng() & 1;
+      for (uint64_t& word : pi_words) {
+        word |= (rng() & 1) << k;
       }
-      const auto pulse = pulse_simulate(net, stage, clk, pis);
-      if (!pulse.ok()) {
-        return false;
-      }
-      const auto expect = simulate(golden, pis);
-      if (std::vector<bool>(pulse.po_values.begin(), pulse.po_values.end()) != expect) {
-        return false;
-      }
+    }
+    if (program.run(pi_words) != simulate_words(golden, pi_words)) {
+      return false;
     }
   }
   return true;

@@ -4,7 +4,7 @@
 ///
 /// RSFQ logic is pulse-based: a wire carries a logical 1 in a clock cycle iff
 /// an SFQ pulse travels down it during that cycle. This simulator propagates
-/// one data wave through a network whose every node has been assigned a clock
+/// data waves through a network whose every node has been assigned a clock
 /// stage (see clocking.hpp), and checks the *timing legality* the paper's
 /// flow must establish:
 ///
@@ -19,7 +19,15 @@
 /// The T1 cell itself is simulated with the state machine of Fig. 1a/1b:
 /// pulses at T toggle the storage loop (emitting Q* on 0→1, C* on 1→0) and a
 /// pulse at R reads out S when the loop holds 1.
+///
+/// Both checks run on a `PulseProgram`, compiled once per netlist, schedule
+/// and clock: timing legality depends only on release stages, never on which
+/// pulses are present, so the windows are checked once at compile time and
+/// `run` then simulates 64 waves per 64-bit word (compiled, pattern-parallel
+/// simulation after Barzilai et al., "HSS — A High-Speed Simulator", IEEE
+/// TCAD 1987).
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -76,20 +84,72 @@ struct PulseSimResult {
 /// Release stage of every node under \p stage: the stage at which its pulse
 /// leaves the element. Buf (JTL) and T1Port entries inherit their source's
 /// release — they are passive pins, not clocked elements; everything else
-/// releases at its own stage. Shared by the simulator and the phase-margin
-/// scan of verify/physics_check.hpp so both agree on arrival arithmetic.
+/// releases at its own stage. `PulseProgram` times arrivals by the same rule.
 std::vector<Stage> release_stages(const Network& net, const std::vector<Stage>& stage);
 
-/// Simulates one data wave. \p stage must assign a stage to every live node
-/// (PIs typically at 0; T1Port/Buf entries are ignored — they inherit).
-/// Throws std::invalid_argument when \p stage or \p pi_values is undersized
-/// (both were previously silent out-of-bounds reads).
+/// A scheduled netlist compiled for pulse-level simulation, 64 waves at a
+/// time. \p stage must assign a stage to every live node (PIs typically at 0;
+/// T1Port/Buf entries are ignored — they inherit).
+class PulseProgram {
+public:
+  /// One topological pass records the evaluation order, checks every clocked
+  /// consumer's window and histograms the phase margins of the legal edges.
+  /// Throws std::invalid_argument when \p stage is smaller than the network.
+  PulseProgram(const Network& net, const std::vector<Stage>& stage,
+               const MultiphaseConfig& clk);
+
+  /// Simulates 64 waves: bit k of `pi_words[i]` is PI i in wave k; returns
+  /// one word per PO with bit k its pulse in wave k. Ordinary cells evaluate
+  /// as `Network::eval_word`. A T1 body's word is its storage loop after the
+  /// present pulses toggled it (their parity, read out by R); its ports are
+  /// the parity (S), majority (C), OR (Q) and the complements (C*, Q* plus
+  /// inverter) of its three input words. Throws std::invalid_argument when
+  /// \p pi_words does not hold one word per PI.
+  std::vector<uint64_t> run(const std::vector<uint64_t>& pi_words) const;
+
+  /// Every window and T1-landing violation, in topological order (per T1:
+  /// inputs outside the cycle, then colliding pairs).
+  const std::vector<TimingViolation>& violations() const { return violations_; }
+  bool ok() const { return violations_.empty(); }
+
+  /// Phase margins of the in-window edges: distance in stages to the nearest
+  /// window boundary, `margin_histogram()[m]` edges at margin m (the last of
+  /// the n buckets collects the rest). Violating edges are not counted.
+  const std::vector<uint64_t>& margin_histogram() const { return margin_histogram_; }
+  int64_t min_margin() const { return min_margin_; }  ///< 0 when no edge is checked
+  std::size_t checked_edges() const { return checked_edges_; }
+
+  /// Live nodes in the order `run` evaluates them (a topological order).
+  const std::vector<NodeId>& order() const { return order_; }
+
+private:
+  /// Computes the word of `order_[k]` into slot k from up to three slots; a
+  /// Pi's `in[0]` is its PI index, and slot `ops_.size()` is the zero word.
+  struct Op {
+    GateType type;
+    T1PortFn port;
+    std::array<uint32_t, 3> in;
+  };
+
+  std::vector<NodeId> order_;
+  std::vector<Op> ops_;
+  std::vector<uint32_t> po_slots_;
+  std::size_t num_pis_ = 0;
+  std::vector<TimingViolation> violations_;
+  std::vector<uint64_t> margin_histogram_;
+  int64_t min_margin_ = 0;
+  std::size_t checked_edges_ = 0;
+};
+
+/// Simulates one data wave: a one-lane `PulseProgram`. Throws
+/// std::invalid_argument when \p stage is undersized or \p pi_values does
+/// not hold one value per PI.
 PulseSimResult pulse_simulate(const Network& net, const std::vector<Stage>& stage,
                               const MultiphaseConfig& clk, const std::vector<bool>& pi_values);
 
 /// Convenience: runs `rounds` x 64 random waves and reports whether the
-/// scheduled netlist matches ordinary functional simulation on all of them
-/// and is free of timing violations.
+/// scheduled netlist is free of timing violations (checked even when
+/// `rounds` is 0) and matches ordinary functional simulation on all of them.
 bool pulse_verify(const Network& net, const std::vector<Stage>& stage,
                   const MultiphaseConfig& clk, const Network& golden, unsigned rounds = 4,
                   uint64_t seed = 0x7ab5);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <initializer_list>
 #include <random>
@@ -18,90 +19,26 @@ namespace t1sfq {
 namespace verify {
 namespace {
 
-/// Records one in-window arrival: distance (in stages) to the nearest window
-/// boundary. Violating edges are excluded — they are counted from the
-/// simulator's violation list, which uses identical arithmetic.
-struct MarginScan {
-  std::vector<uint64_t> histogram;
-  int64_t min_margin = 0;
-  std::size_t edges = 0;
-
-  explicit MarginScan(unsigned phases) : histogram(std::max(phases, 1u), 0) {}
-
-  void record(int64_t margin) {
-    const auto bucket = std::min<std::size_t>(static_cast<std::size_t>(margin),
-                                              histogram.size() - 1);
-    ++histogram[bucket];
-    min_margin = edges == 0 ? margin : std::min(min_margin, margin);
-    ++edges;
-  }
-};
-
-/// Static phase-margin scan. Timing legality under the pulse model is
-/// data-independent (a pulse's release stage depends only on the schedule, not
-/// on whether the pulse is present), so margins are a property of the
-/// schedule alone and one pass suffices.
-MarginScan scan_margins(const Network& net, const std::vector<Stage>& stage,
-                        const MultiphaseConfig& clk) {
-  const std::vector<Stage> release = release_stages(net, stage);
-  const Stage n = static_cast<Stage>(clk.phases);
-  MarginScan scan(clk.phases);
-  for (const NodeId id : net.topo_order()) {
-    const Node& node = net.node(id);
-    switch (node.type) {
-      case GateType::Pi:
-      case GateType::Const0:
-      case GateType::Const1:
-      case GateType::Buf:
-      case GateType::T1Port:
-        break;  // not a clocked consumer
-      case GateType::T1: {
-        const Stage sigma = stage[id];
-        for (unsigned i = 0; i < 3; ++i) {
-          const Stage a = release[node.fanin(i)];
-          if (a > sigma - n && a < sigma) {  // strictly inside the cycle
-            scan.record(std::min(a - (sigma - n) - 1, sigma - a - 1));
-          }
-        }
-        break;
-      }
-      default: {  // ordinary clocked cell (logic gate or DFF)
-        const Stage sigma = stage[id];
-        for (uint8_t i = 0; i < node.num_fanins; ++i) {
-          const NodeId f = node.fanin(i);
-          const GateType ft = net.node(f).type;
-          if (ft == GateType::Const0 || ft == GateType::Const1) {
-            continue;  // constants carry no pulse
-          }
-          const Stage gap = sigma - release[f];
-          if (gap > 0 && gap <= n) {
-            scan.record(std::min(gap - 1, n - gap));
-          }
-        }
-      }
-    }
-  }
-  return scan;
-}
-
 struct Vector {
   std::vector<bool> pis;
   bool hazard = false;
 };
 
 /// PIs in the transitive fanin cone of \p root, as indices into the PI list.
-/// Iterative DFS: flow outputs can be thousands of levels deep.
+/// Iterative DFS: flow outputs can be thousands of levels deep. A node is
+/// visited by this walk iff `seen[id] == epoch`, so one buffer serves every
+/// walk given a fresh epoch.
 void collect_pi_support(const Network& net, NodeId root,
-                        const std::vector<int>& pi_index, std::vector<char>& seen,
-                        std::vector<std::size_t>& out) {
+                        const std::vector<int>& pi_index, std::vector<uint32_t>& seen,
+                        uint32_t epoch, std::vector<std::size_t>& out) {
   std::vector<NodeId> stack{root};
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    if (seen[id]) {
+    if (seen[id] == epoch) {
       continue;
     }
-    seen[id] = 1;
+    seen[id] = epoch;
     const Node& node = net.node(id);
     if (node.type == GateType::Pi) {
       out.push_back(static_cast<std::size_t>(pi_index[id]));
@@ -116,15 +53,17 @@ void collect_pi_support(const Network& net, NodeId root,
 /// Hazard-lab-style glitch vectors: for each sampled T1 body, raise every PI
 /// feeding all three (and each pair of) data inputs, so their pulses are all
 /// present in one wave — the overlap scenario eq. 5's distinct landing slots
-/// must absorb.
-void make_hazard_vectors(const Network& net, const PhysicsCheckParams& params,
-                         std::vector<Vector>& out) {
+/// must absorb. T1 bodies are sampled in \p order, the program's order.
+void make_hazard_vectors(const Network& net, const std::vector<NodeId>& order,
+                         const PhysicsCheckParams& params, std::vector<Vector>& out) {
   std::vector<int> pi_index(net.size(), -1);
   for (std::size_t i = 0; i < net.num_pis(); ++i) {
     pi_index[net.pi(i)] = static_cast<int>(i);
   }
+  std::vector<uint32_t> seen(net.size(), 0);
+  uint32_t epoch = 0;
   unsigned sampled = 0;
-  for (const NodeId id : net.topo_order()) {
+  for (const NodeId id : order) {
     if (net.node(id).type != GateType::T1) {
       continue;
     }
@@ -133,8 +72,7 @@ void make_hazard_vectors(const Network& net, const PhysicsCheckParams& params,
     }
     std::array<std::vector<std::size_t>, 3> support;
     for (unsigned i = 0; i < 3; ++i) {
-      std::vector<char> seen(net.size(), 0);
-      collect_pi_support(net, net.node(id).fanin(i), pi_index, seen, support[i]);
+      collect_pi_support(net, net.node(id).fanin(i), pi_index, seen, ++epoch, support[i]);
     }
     const auto push = [&](std::initializer_list<unsigned> inputs) {
       Vector v;
@@ -154,8 +92,8 @@ void make_hazard_vectors(const Network& net, const PhysicsCheckParams& params,
   }
 }
 
-void make_vectors(const Network& net, const PhysicsCheckParams& params,
-                  std::vector<Vector>& out) {
+void make_vectors(const Network& net, const std::vector<NodeId>& order,
+                  const PhysicsCheckParams& params, std::vector<Vector>& out) {
   const std::size_t pis = net.num_pis();
   const auto push = [&](const std::vector<bool>& v) { out.push_back({v, false}); };
   if (params.directed_vectors) {
@@ -174,7 +112,7 @@ void make_vectors(const Network& net, const PhysicsCheckParams& params,
     }
   }
   if (params.hazard_vectors) {
-    make_hazard_vectors(net, params, out);
+    make_hazard_vectors(net, order, params, out);
   }
   std::mt19937_64 rng(params.seed);
   for (unsigned r = 0; r < params.random_vectors; ++r) {
@@ -284,61 +222,59 @@ PhysicsReport physics_check(const PhysicalNetlist& phys, const MultiphaseConfig&
   PhysicsReport report;
   report.ran = true;
 
-  // (1) Static schedule legality + phase margins (data-independent).
-  const MarginScan scan = scan_margins(net, phys.stage, clk);
-  report.margin_histogram = scan.histogram;
-  report.min_margin = scan.min_margin;
-  report.checked_edges = scan.edges;
+  // (1) Compile once: timing legality and phase margins are data-independent
+  // (a release stage depends only on the schedule, not on whether the pulse
+  // is present), so the program checks every window a single time.
+  const PulseProgram program(net, phys.stage, clk);
+  report.margin_histogram = program.margin_histogram();
+  report.min_margin = program.min_margin();
+  report.checked_edges = program.checked_edges();
+  report.timing_violations = program.violations().size();
+
+  std::vector<Vector> vectors;
+  make_vectors(net, program.order(), params, vectors);
+  if (!program.ok()) {
+    // Any wave witnesses a timing violation: the first vector driven, or the
+    // all-zero vector when none is.
+    report.first_violation = program.violations().front().describe();
+    report.has_witness = true;
+    report.witness =
+        vectors.empty() ? std::vector<bool>(net.num_pis(), false) : vectors.front().pis;
+    report.witness_kind = "timing";
+  }
 
   // (2) Pulse-level waves vs word-parallel golden simulation, 64 at a time.
-  std::vector<Vector> vectors;
-  make_vectors(net, params, vectors);
   std::vector<uint64_t> pi_words(net.num_pis());
   for (std::size_t base = 0; base < vectors.size(); base += 64) {
     const std::size_t width = std::min<std::size_t>(64, vectors.size() - base);
     std::fill(pi_words.begin(), pi_words.end(), 0);
     for (std::size_t k = 0; k < width; ++k) {
+      const Vector& vec = vectors[base + k];
       for (std::size_t i = 0; i < net.num_pis(); ++i) {
-        if (vectors[base + k].pis[i]) {
+        if (vec.pis[i]) {
           pi_words[i] |= uint64_t{1} << k;
         }
       }
-    }
-    const std::vector<uint64_t> expect = simulate_words(golden, pi_words);
-    for (std::size_t k = 0; k < width; ++k) {
-      const Vector& vec = vectors[base + k];
-      const PulseSimResult pulse = pulse_simulate(net, phys.stage, clk, vec.pis);
-      ++report.vectors;
       if (vec.hazard) {
         ++report.hazard_cases;
       }
-      if (report.vectors == 1) {
-        // Violations are data-independent: count them once, from the first
-        // wave (re-deriving them per vector would just repeat the list).
-        report.timing_violations = pulse.violations.size();
-        if (!pulse.violations.empty()) {
-          report.first_violation = pulse.violations.front().describe();
-          report.has_witness = true;
-          report.witness = vec.pis;
-          report.witness_kind = "timing";
-        }
-      }
-      bool mismatch = false;
-      for (std::size_t po = 0; po < golden.num_pos(); ++po) {
-        const bool want = ((expect[po] >> k) & 1) != 0;
-        if (pulse.po_values[po] != want) {
-          mismatch = true;
-          break;
-        }
-      }
-      if (mismatch) {
-        ++report.function_mismatches;
-        if (!report.has_witness) {
-          report.has_witness = true;
-          report.witness = vec.pis;
-          report.witness_kind = vec.hazard ? "hazard" : "function";
-        }
-      }
+    }
+    const std::vector<uint64_t> expect = simulate_words(golden, pi_words);
+    const std::vector<uint64_t> pulse = program.run(pi_words);
+    uint64_t failing = 0;  // lanes whose PO pattern differs from the golden
+    for (std::size_t po = 0; po < golden.num_pos(); ++po) {
+      failing |= expect[po] ^ pulse[po];
+    }
+    if (width < 64) {
+      failing &= (uint64_t{1} << width) - 1;
+    }
+    report.vectors += width;
+    report.function_mismatches += static_cast<std::size_t>(std::popcount(failing));
+    if (failing != 0 && !report.has_witness) {
+      const Vector& vec = vectors[base + static_cast<std::size_t>(std::countr_zero(failing))];
+      report.has_witness = true;
+      report.witness = vec.pis;
+      report.witness_kind = vec.hazard ? "hazard" : "function";
     }
   }
 
@@ -355,14 +291,10 @@ PhysicsReport physics_check(const PhysicalNetlist& phys, const MultiphaseConfig&
   obs::count("verify.physics_failures", report.ok ? 0 : 1);
   obs::count("verify.physics_vectors", report.vectors);
   obs::gauge_set("verify.min_margin_stages", report.min_margin);
-  if (obs::enabled()) {
-    // The log2-bucket histogram machinery is unit-agnostic; margins are small
-    // integers (stages), so buckets are exact up to margin 2 and 2x after.
-    for (std::size_t m = 0; m < scan.histogram.size(); ++m) {
-      for (uint64_t c = 0; c < scan.histogram[m]; ++c) {
-        obs::observe_us("verify.phase_margin_stages", m);
-      }
-    }
+  // The log2-bucket histogram machinery is unit-agnostic; margins are small
+  // integers (stages), so buckets are exact up to margin 2 and 2x after.
+  for (std::size_t m = 0; m < report.margin_histogram.size(); ++m) {
+    obs::observe_us("verify.phase_margin_stages", m, report.margin_histogram[m]);
   }
   span.arg("vectors", static_cast<int64_t>(report.vectors));
   span.arg("ok", report.ok ? 1 : 0);

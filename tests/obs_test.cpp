@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "benchmarks/record.hpp"
 #include "benchmarks/runner.hpp"
@@ -80,6 +82,28 @@ TEST_F(ObsTest, CountersGaugesHistograms) {
   EXPECT_EQ(snap[2].count, 2u);
   EXPECT_EQ(snap[2].sum_us, 40u);
   EXPECT_EQ(snap[2].max_us, 30u);
+}
+
+TEST_F(ObsTest, BatchedHistogramSamplesEqualSingleObservations) {
+  // One call per bucket (hot loops) must leave the same row as one call per
+  // sample; zero samples materialize nothing.
+  obs::ScopedEnable on(true);
+  const std::vector<std::pair<uint64_t, uint64_t>> buckets{{0, 5}, {1, 3}, {3, 2}, {9, 0}};
+  for (const auto& [us, samples] : buckets) {
+    for (uint64_t i = 0; i < samples; ++i) {
+      obs::observe_us("single", us);
+    }
+    obs::observe_us("batched", us, samples);
+  }
+  obs::observe_us("empty", 7, 0);
+  const auto snap = obs::Registry::instance().snapshot();
+  ASSERT_EQ(snap.size(), 2u);  // batched, single
+  EXPECT_EQ(snap[0].count, 10u);
+  EXPECT_EQ(snap[0].count, snap[1].count);
+  EXPECT_EQ(snap[0].sum_us, snap[1].sum_us);
+  EXPECT_EQ(snap[0].max_us, snap[1].max_us);
+  EXPECT_EQ(snap[0].buckets, snap[1].buckets);
+  EXPECT_EQ(snap[0].max_us, 3u);
 }
 
 TEST_F(ObsTest, ScopedEnableRestoresState) {

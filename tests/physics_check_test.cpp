@@ -141,6 +141,47 @@ TEST(PhysicsCheck, CorruptedScheduleRejectedWithWitness) {
   EXPECT_NO_THROW(run_flow(net, strict));  // uncorrupted: oracle passes inline
 }
 
+/// Timing is checked once per netlist, not per driven wave: a violating
+/// schedule fails even when no vector is driven, with the all-zero vector as
+/// its witness, and pulse_verify rejects it with zero rounds.
+TEST(PhysicsCheck, ViolatingScheduleFailsWhenNoWaveIsDriven) {
+  const Network net = bench::make_suite_scaled(16).front().generate();
+  const FlowParams p;
+  const FlowResult res = run_flow(net, p);
+
+  PhysicalNetlist shifted = res.physical;
+  NodeId t1 = kNullNode;
+  for (const NodeId id : shifted.net.topo_order()) {
+    if (shifted.net.node(id).type == GateType::T1) {
+      t1 = id;
+      break;
+    }
+  }
+  ASSERT_NE(t1, kNullNode);
+  shifted.stage[t1] -= 1;
+
+  verify::PhysicsCheckParams none;
+  none.random_vectors = 0;
+  none.directed_vectors = false;
+  none.hazard_vectors = false;
+  const auto report = t1sfq::verify::physics_check(shifted, p.clk, net, none);
+  EXPECT_EQ(report.vectors, 0u);
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.timing_violations,
+            t1sfq::verify::physics_check(shifted, p.clk, net).timing_violations);
+  EXPECT_GT(report.timing_violations, 0u);
+  EXPECT_TRUE(report.has_witness);
+  EXPECT_EQ(report.witness_kind, "timing");
+  EXPECT_EQ(report.witness, std::vector<bool>(net.num_pis(), false));
+  EXPECT_FALSE(report.first_violation.empty());
+  EXPECT_NE(report.summary().find("FAIL"), std::string::npos);
+
+  EXPECT_FALSE(pulse_verify(shifted.net, shifted.stage, p.clk, net, 0));
+  // The legal schedule still passes both with nothing driven.
+  EXPECT_TRUE(t1sfq::verify::physics_check(res.physical, p.clk, net, none).ok);
+  EXPECT_TRUE(pulse_verify(res.physical.net, res.physical.stage, p.clk, net, 0));
+}
+
 TEST(PhysicsCheck, WrongGoldenYieldsFunctionWitness) {
   Network net;
   const NodeId a = net.add_pi();
