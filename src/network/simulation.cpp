@@ -9,6 +9,12 @@ namespace t1sfq {
 
 std::vector<uint64_t> simulate_all_words(const Network& net,
                                          const std::vector<uint64_t>& pi_words) {
+  return simulate_all_words(net, pi_words, net.topo_order());
+}
+
+std::vector<uint64_t> simulate_all_words(const Network& net,
+                                         const std::vector<uint64_t>& pi_words,
+                                         const std::vector<NodeId>& order) {
   if (pi_words.size() != net.num_pis()) {
     throw std::invalid_argument("simulate: wrong number of PI words");
   }
@@ -16,7 +22,7 @@ std::vector<uint64_t> simulate_all_words(const Network& net,
   for (std::size_t i = 0; i < net.num_pis(); ++i) {
     value[net.pi(i)] = pi_words[i];
   }
-  for (const NodeId id : net.topo_order()) {
+  for (const NodeId id : order) {
     const Node& n = net.node(id);
     switch (n.type) {
       case GateType::Pi:

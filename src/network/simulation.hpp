@@ -28,6 +28,13 @@ std::vector<bool> simulate(const Network& net, const std::vector<bool>& pi_value
 std::vector<uint64_t> simulate_all_words(const Network& net,
                                          const std::vector<uint64_t>& pi_words);
 
+/// As above, evaluating the live nodes in \p order, which must be a
+/// topological order of them (`net.topo_order()`): callers that simulate many
+/// words compute it once.
+std::vector<uint64_t> simulate_all_words(const Network& net,
+                                         const std::vector<uint64_t>& pi_words,
+                                         const std::vector<NodeId>& order);
+
 /// Exhaustive simulation: requires `num_pis() <= 16`. Returns, per PO, the
 /// complete truth table over the PIs (PI 0 is variable 0).
 std::vector<TruthTable> simulate_truth_tables(const Network& net);

@@ -76,7 +76,7 @@ std::vector<Stage> release_stages(const Network& net, const std::vector<Stage>& 
 
 PulseProgram::PulseProgram(const Network& net, const std::vector<Stage>& stage,
                            const MultiphaseConfig& clk)
-    : num_pis_(net.num_pis()), margin_histogram_(std::max(clk.phases, 1u), 0) {
+    : net_(net), margin_histogram_(std::max(clk.phases, 1u), 0) {
   if (stage.size() < net.size()) {
     throw std::invalid_argument("PulseProgram: stage vector smaller than network");
   }
@@ -90,22 +90,10 @@ PulseProgram::PulseProgram(const Network& net, const std::vector<Stage>& stage,
   };
 
   order_ = net.topo_order();
-  const uint32_t zero = static_cast<uint32_t>(order_.size());
-  std::vector<uint32_t> slot(net.size(), zero);
   std::vector<Stage> release(net.size(), 0);
-  ops_.reserve(order_.size());
   for (const NodeId id : order_) {
     const Node& node = net.node(id);
     release[id] = release_of(node, id, stage, release);
-    // A port reads its body's three inputs: the count rule needs all three.
-    const Node& src = node.type == GateType::T1Port ? net.node(node.fanin(0)) : node;
-    Op op{node.type, node.port, {zero, zero, zero}};
-    for (uint8_t i = 0; i < src.num_fanins; ++i) {
-      op.in[i] = slot[src.fanin(i)];
-    }
-    slot[id] = static_cast<uint32_t>(ops_.size());
-    ops_.push_back(op);
-
     switch (node.type) {
       case GateType::Pi:
       case GateType::Const0:
@@ -156,38 +144,18 @@ PulseProgram::PulseProgram(const Network& net, const std::vector<Stage>& stage,
       }
     }
   }
-  for (std::size_t i = 0; i < num_pis_; ++i) {
-    const uint32_t s = slot[net.pi(i)];
-    if (s != zero) {
-      ops_[s].in[0] = static_cast<uint32_t>(i);
-    }
-  }
-  po_slots_.reserve(net.num_pos());
-  for (const NodeId po : net.pos()) {
-    po_slots_.push_back(slot[po]);
-  }
 }
 
 std::vector<uint64_t> PulseProgram::run(const std::vector<uint64_t>& pi_words) const {
-  if (pi_words.size() != num_pis_) {
-    throw std::invalid_argument("PulseProgram::run: PI word count != num_pis()");
-  }
   // Network::eval_word's T1 rules are the state machine's outcome per lane:
   // the body (S) is the loop's parity after the toggles, C* fired iff a
   // second pulse arrived (majority), Q* iff any did (OR). Arrival order only
   // matters for the timing checks, which the constructor already made.
-  std::vector<uint64_t> value(ops_.size() + 1, 0);
-  for (std::size_t k = 0; k < ops_.size(); ++k) {
-    const Op& op = ops_[k];
-    value[k] = op.type == GateType::Pi
-                   ? pi_words[op.in[0]]
-                   : Network::eval_word(op.type, op.port, value[op.in[0]], value[op.in[1]],
-                                        value[op.in[2]]);
-  }
+  const std::vector<uint64_t> value = simulate_all_words(net_, pi_words, order_);
   std::vector<uint64_t> out;
-  out.reserve(po_slots_.size());
-  for (const uint32_t s : po_slots_) {
-    out.push_back(value[s]);
+  out.reserve(net_.num_pos());
+  for (const NodeId po : net_.pos()) {
+    out.push_back(value[po]);
   }
   return out;
 }

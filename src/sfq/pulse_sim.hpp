@@ -27,7 +27,6 @@
 /// simulation after Barzilai et al., "HSS — A High-Speed Simulator", IEEE
 /// TCAD 1987).
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -89,7 +88,8 @@ std::vector<Stage> release_stages(const Network& net, const std::vector<Stage>& 
 
 /// A scheduled netlist compiled for pulse-level simulation, 64 waves at a
 /// time. \p stage must assign a stage to every live node (PIs typically at 0;
-/// T1Port/Buf entries are ignored — they inherit).
+/// T1Port/Buf entries are ignored — they inherit); only the constructor
+/// reads it. `run` reads \p net, which must outlive the program.
 class PulseProgram {
 public:
   /// One topological pass records the evaluation order, checks every clocked
@@ -97,14 +97,15 @@ public:
   /// Throws std::invalid_argument when \p stage is smaller than the network.
   PulseProgram(const Network& net, const std::vector<Stage>& stage,
                const MultiphaseConfig& clk);
+  PulseProgram(Network&&, const std::vector<Stage>&, const MultiphaseConfig&) = delete;
 
   /// Simulates 64 waves: bit k of `pi_words[i]` is PI i in wave k; returns
-  /// one word per PO with bit k its pulse in wave k. Ordinary cells evaluate
-  /// as `Network::eval_word`. A T1 body's word is its storage loop after the
-  /// present pulses toggled it (their parity, read out by R); its ports are
-  /// the parity (S), majority (C), OR (Q) and the complements (C*, Q* plus
-  /// inverter) of its three input words. Throws std::invalid_argument when
-  /// \p pi_words does not hold one word per PI.
+  /// one word per PO with bit k its pulse in wave k. Cells evaluate as
+  /// `Network::eval_word` in the recorded order. A T1 body's word is its
+  /// storage loop after the present pulses toggled it (their parity, read
+  /// out by R); its ports are the parity (S), majority (C), OR (Q) and the
+  /// complements (C*, Q* plus inverter) of its three input words. Throws
+  /// std::invalid_argument when \p pi_words does not hold one word per PI.
   std::vector<uint64_t> run(const std::vector<uint64_t>& pi_words) const;
 
   /// Every window and T1-landing violation, in topological order (per T1:
@@ -123,18 +124,8 @@ public:
   const std::vector<NodeId>& order() const { return order_; }
 
 private:
-  /// Computes the word of `order_[k]` into slot k from up to three slots; a
-  /// Pi's `in[0]` is its PI index, and slot `ops_.size()` is the zero word.
-  struct Op {
-    GateType type;
-    T1PortFn port;
-    std::array<uint32_t, 3> in;
-  };
-
+  const Network& net_;
   std::vector<NodeId> order_;
-  std::vector<Op> ops_;
-  std::vector<uint32_t> po_slots_;
-  std::size_t num_pis_ = 0;
   std::vector<TimingViolation> violations_;
   std::vector<uint64_t> margin_histogram_;
   int64_t min_margin_ = 0;
