@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/flow.hpp"
 #include "network/equivalence.hpp"
 #include "random_network_test_util.hpp"
@@ -19,17 +21,25 @@ namespace {
 
 using testutil::random_network;
 
+/// gtest names each case by a hex dump of the whole object (and ctest shows
+/// that name), so the would-be padding is spelled out as zeroed members: an
+/// implicit padding byte would print whatever that memory last held and make
+/// the case names change from build to build.
 struct RandomCase {
   uint64_t seed;
   unsigned phases;
   bool use_t1;
+  uint8_t pad0[3] = {};
   /// >= 2 exercises the partition-parallel optimizer (thresholds forced low
   /// so the small random networks actually partition).
   unsigned partition_jobs = 0;
   /// Forces the schedule-aware guard onto its incremental-anchor path by
   /// disabling the measured ASAP-only probe.
   bool no_guard_probe = false;
+  uint8_t pad1[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<RandomCase>,
+              "RandomCase must have no implicit padding");
 
 class RandomFlow : public ::testing::TestWithParam<RandomCase> {};
 
@@ -108,11 +118,12 @@ std::vector<RandomCase> random_cases() {
   // Partition-parallel optimization (PR 6 path) under the same invariants;
   // seeds divisible by 3 included so the physics oracle covers it too.
   for (uint64_t seed = 25; seed <= 30; ++seed) {
-    cases.push_back({seed, 4, true, /*partition_jobs=*/2 + seed % 3});
+    cases.push_back({.seed = seed, .phases = 4, .use_t1 = true,
+                     .partition_jobs = 2 + static_cast<unsigned>(seed % 3)});
   }
   // Schedule-aware guard on its incremental-anchor (probe-free) path.
   for (uint64_t seed = 31; seed <= 36; ++seed) {
-    cases.push_back({seed, 4, true, /*partition_jobs=*/0, /*no_guard_probe=*/true});
+    cases.push_back({.seed = seed, .phases = 4, .use_t1 = true, .no_guard_probe = true});
   }
   return cases;
 }
