@@ -41,7 +41,7 @@ FlowResult run_flow(const Network& input, const FlowParams& params) {
     // rather than a fresh O(n) build.
     std::optional<IncrementalView> view;
     run_logical_flow(input, params, result, view);
-    run_physical_flow(input, params, result, view ? &*view : nullptr);
+    run_physical_flow(input, params, result, *view);
   }
   result.timings.total_ms = ms_since(t_flow);
   obs::count("flow.runs");
@@ -82,22 +82,24 @@ void run_logical_flow(const Network& input, const FlowParams& params,
   result.metrics.opt_depth = result.mapped.depth();
   result.metrics.opt_area_jj = model.network_breakdown(result.mapped).total();
 
-  if (params.use_t1) {
-    obs::Span span("flow.detect", "gates_in",
-                   static_cast<int64_t>(result.mapped.num_gates()));
-    const Clock::time_point t0 = Clock::now();
+  if (!params.use_t1) {
     view.emplace(result.mapped, model, /*track_plan=*/true);
-    const T1DetectionStats det =
-        detect_and_replace_t1(result.mapped, model, params.detection, &*view);
-    result.metrics.t1_found = det.found;
-    result.metrics.t1_used = det.used;  // detection compacts the network itself
-    result.timings.detect_ms = ms_since(t0);
-    span.arg("t1_used", static_cast<int64_t>(det.used));
+    return;
   }
+  obs::Span span("flow.detect", "gates_in",
+                 static_cast<int64_t>(result.mapped.num_gates()));
+  const Clock::time_point t0 = Clock::now();
+  view.emplace(result.mapped, model, /*track_plan=*/true);
+  const T1DetectionStats det =
+      detect_and_replace_t1(result.mapped, model, params.detection, &*view);
+  result.metrics.t1_found = det.found;
+  result.metrics.t1_used = det.used;  // detection compacts the network itself
+  result.timings.detect_ms = ms_since(t0);
+  span.arg("t1_used", static_cast<int64_t>(det.used));
 }
 
 void run_physical_flow(const Network& golden, const FlowParams& params,
-                       FlowResult& result, const IncrementalView* view) {
+                       FlowResult& result, const IncrementalView& view) {
   const CostModel model = params.cost();
   result.metrics.detect_area_jj = model.network_breakdown(result.mapped).total();
 
@@ -111,10 +113,7 @@ void run_physical_flow(const Network& golden, const FlowParams& params,
     obs::Span span("flow.assign", "gates_in",
                    static_cast<int64_t>(result.mapped.num_gates()));
     const Clock::time_point t0 = Clock::now();
-    // The view-seeded overload produces the identical result to the
-    // from-scratch one (pinned by test); it only skips the ASAP/slack seed.
-    result.assignment = view ? assign_phases(*view, pp)
-                             : assign_phases(result.mapped, pp);
+    result.assignment = assign_phases(view, pp);
     result.timings.assign_ms = ms_since(t0);
   }
   if (!result.assignment.feasible) {

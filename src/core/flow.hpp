@@ -126,22 +126,22 @@ FlowResult run_flow(const Network& input, const FlowParams& params = {});
 
 /// The logical half of run_flow: cleans \p input into `result.mapped`, runs
 /// the optimizer and T1 detection on it, and fills the pre-opt, opt and T1
-/// metrics and timings. With `use_t1`, detection's plan-tracking view over
-/// `result.mapped` is handed back live in \p view (otherwise \p view is
-/// left empty); it pins `result.mapped`, so \p result must stay put while
+/// metrics and timings. A plan-tracking view over `result.mapped` is handed
+/// back live in \p view, T1 on or off (with T1, the one detection
+/// maintained); it pins `result.mapped`, so \p result must stay put while
 /// the view lives. Throws like run_flow on a T1 flow with fewer than 4
 /// phases.
 void run_logical_flow(const Network& input, const FlowParams& params,
                       FlowResult& result, std::optional<IncrementalView>& view);
 
-/// The physical half of run_flow on `result.mapped`: phase assignment
-/// (seeded from \p view when given — a view over `result.mapped`, in sync
-/// with it), DFF insertion and the final metrics, then the physics oracle
-/// against \p golden when `physics_check` is on. Throws
-/// InfeasibleScheduleError / PhysicsViolationError like run_flow.
-/// `timings.total_ms` is left to the caller.
+/// The physical half of run_flow on `result.mapped`: phase assignment on
+/// \p view (a view over `result.mapped`, in sync with it), DFF insertion and
+/// the final metrics, then the physics oracle against \p golden when
+/// `physics_check` is on. Throws InfeasibleScheduleError /
+/// PhysicsViolationError like run_flow. `timings.total_ms` is left to the
+/// caller.
 void run_physical_flow(const Network& golden, const FlowParams& params,
-                       FlowResult& result, const IncrementalView* view = nullptr);
+                       FlowResult& result, const IncrementalView& view);
 
 /// Area metric on a physical netlist (gates + DFFs + splitters + clock share).
 uint64_t physical_area_jj(const PhysicalNetlist& phys, const CellLibrary& lib,

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "incr/incremental_view.hpp"
+#include "incr/schedule_refiner.hpp"
 #include "obs/metrics.hpp"
 #include "solver/milp.hpp"
 
@@ -240,156 +241,19 @@ Stage sched_t1_max_input_stage(const Network& net, const std::vector<Stage>& sta
 
 namespace {
 
-/// Scheduling context: consumer lists per physical pin (driver_key), plus the
-/// pin list of every scheduled element.
-struct SchedContext {
-  const Network& net;
-  MultiphaseConfig clk;
-  Stage output_stage;
-  /// Consumers (clocked element ids) per pin; kNullNode marks the sink.
-  std::vector<std::vector<NodeId>> consumers;
-  /// Pins owned by each scheduled element (itself, or its T1 ports).
-  std::vector<std::vector<NodeId>> pins;
-
-  SchedContext(const Network& n, const MultiphaseConfig& c, Stage out)
-      : net(n), clk(c), output_stage(out), consumers(n.size()), pins(n.size()) {
-    for (const NodeId id : net.topo_order()) {
-      const Node& node = net.node(id);
-      switch (node.type) {
-        case GateType::T1Port:
-          pins[resolve_producer(net, id)].push_back(id);  // pin of its body
-          break;
-        case GateType::T1:
-          break;  // pins are the ports, collected above
-        case GateType::Buf:
-          break;  // transparent
-        default:
-          pins[id].push_back(id);  // gates, DFFs, PIs, constants: one pin
-      }
-      if (is_scheduled(node.type)) {
-        for (uint8_t i = 0; i < node.num_fanins; ++i) {
-          consumers[driver_key(net, node.fanin(i))].push_back(id);
-        }
-      }
-    }
-    for (const NodeId po : net.pos()) {
-      consumers[driver_key(net, po)].push_back(kNullNode);
-    }
-  }
-
-  Stage stage_of(const std::vector<Stage>& stage, NodeId key) const {
-    return stage[resolve_producer(net, key)];
-  }
-
-  /// Exact spine length of pin `key` under the current stages.
-  Stage spine(const std::vector<Stage>& stage, NodeId key) const {
-    if (is_const(net, resolve_producer(net, key))) {
-      return 0;
-    }
-    const Stage n = static_cast<Stage>(clk.phases);
-    const Stage sd = stage_of(stage, key);
-    Stage req = 0;
-    for (const NodeId j : consumers[key]) {
-      if (j == kNullNode) {
-        req = std::max(req, clk.dffs_on_edge(sd, output_stage));
-      } else if (net.node(j).type == GateType::T1) {
-        const auto slots = t1_slot_perm(net, stage, j, n);
-        const Node& body = net.node(j);
-        for (unsigned i = 0; i < 3; ++i) {
-          if (driver_key(net, body.fanin(i)) != key) continue;
-          const Stage t = stage[j] - slots[i];
-          if (t > sd) {
-            req = std::max(req, (t - sd) / n);  // spine part only
-          }
-        }
-      } else {
-        req = std::max(req, clk.dffs_on_edge(sd, stage[j]));
-      }
-    }
-    return req;
-  }
-
-  /// All spines hanging off the pins of scheduled element `d`.
-  Stage element_spines(const std::vector<Stage>& stage, NodeId d) const {
-    Stage total = 0;
-    for (const NodeId key : pins[d]) {
-      total += spine(stage, key);
-    }
-    return total;
-  }
-
-  /// Dedicated landing DFFs of one T1 body under the current stages.
-  int64_t dedicated(const std::vector<Stage>& stage, NodeId t1) const {
-    const Stage n = static_cast<Stage>(clk.phases);
-    const auto slots = t1_slot_perm(net, stage, t1, n);
-    const Node& body = net.node(t1);
-    int64_t count = 0;
-    for (unsigned i = 0; i < 3; ++i) {
-      const NodeId d = resolve_producer(net, body.fanin(i));
-      const Stage t = stage[t1] - slots[i];
-      if (t > stage[d] && (t - stage[d]) % n != 0) {
-        ++count;
-      }
-    }
-    return count;
-  }
-};
-
-/// Conservative eq.-3-aware ALAP of every scheduled element under the sink
-/// stage \p out: the latest stage each element can take while every consumer
-/// stays feasible when nothing else moves (T1 fanins bounded by the smallest
-/// landing slot). Mirrors `IncrementalView::compute_alap` (over SchedContext
-/// pins instead of the view's consumer lists, honoring an `output_slack`-
-/// extended sink) — the two recurrences MUST stay in lockstep: the
-/// view-seeded and from-scratch scheduler paths are pinned identical by
-/// tests, and a bound tightened in only one copy would silently under-mark
-/// the other's first sweep. `alap[u] - asap[u]` seeds the incremental
-/// scheduler's first sweep: a zero-slack node's move window is provably
-/// empty until a neighbour's committed move re-opens it.
-std::vector<Stage> sched_alap(const Network& net, const SchedContext& ctx,
-                              const std::vector<Stage>& asap, Stage out) {
-  std::vector<Stage> alap(net.size(), 0);
-  auto order = net.topo_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId id = *it;
-    Stage hi = kInf;
-    for (const NodeId p : ctx.pins[id]) {
-      for (const NodeId c : ctx.consumers[p]) {
-        if (c == kNullNode) {
-          hi = std::min(hi, out - 1);
-        } else if (net.node(c).type == GateType::T1) {
-          hi = std::min(hi, alap[c] - 3);
-        } else {
-          hi = std::min(hi, alap[c] - 1);
-        }
-      }
-    }
-    if (hi >= kInf) {
-      hi = out - 1;  // dangling: only the sink bounds it
-    }
-    alap[id] = std::max(hi, asap[id]);
-  }
-  return alap;
-}
-
-PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams& params,
-                                 const IncrementalView* view) {
+PhaseAssignment heuristic_assign(const IncrementalView& view,
+                                 const PhaseAssignmentParams& params) {
+  const Network& net = view.net();
   PhaseAssignment pa;
-  pa.stage.assign(net.size(), 0);
-  if (view) {
-    // View-seeded: the maintained ASAP stages are the levels, already current.
-    for (NodeId id = 0; id < net.size(); ++id) {
-      pa.stage[id] = view->stage(id);
-    }
-  } else {
-    const auto lvl = net.levels();
-    for (NodeId id = 0; id < net.size(); ++id) {
-      pa.stage[id] = static_cast<Stage>(lvl[id]);
-    }
+  // ASAP seed: the view's maintained stages (T1 taps already alias their
+  // body, as the descent keeps them).
+  pa.stage.resize(net.size());
+  for (NodeId id = 0; id < net.size(); ++id) {
+    pa.stage[id] = view.stage(id);
   }
   Stage out = 0;
   for (const NodeId po : net.pos()) {
-    out = std::max(out, pa.stage[resolve_producer(net, po)] + 1);
+    out = std::max(out, pa.stage[po] + 1);
   }
   out += params.output_slack;
   pa.output_stage = out;
@@ -399,8 +263,6 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
     return pa;
   }
 
-  SchedContext ctx(net, params.clk, out);
-  const Stage n = static_cast<Stage>(params.clk.phases);
   auto order = net.topo_order();
   std::reverse(order.begin(), order.end());
 
@@ -421,23 +283,23 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
       dirty[v] = 1;
     }
   };
+  const auto for_each_t1_driver = [&](NodeId t1, const auto& f) {
+    const Node& b = net.node(t1);
+    for (unsigned i = 0; i < 3; ++i) {
+      f(resolve_producer(net, b.fanin(i)));
+    }
+  };
   // Everyone whose cost evaluation reads the spines of d's pins: d itself,
   // the consumers of those pins, and — where a pin feeds a T1 — the slot
   // permutation's co-drivers.
   const auto mark_spine_readers = [&](NodeId d) {
     mark(d);
-    for (const NodeId p : ctx.pins[d]) {
-      for (const NodeId c : ctx.consumers[p]) {
-        if (c == kNullNode) continue;
-        mark(c);
-        if (net.node(c).type == GateType::T1) {
-          const Node& b = net.node(c);
-          for (unsigned i = 0; i < 3; ++i) {
-            mark(resolve_producer(net, b.fanin(i)));
-          }
-        }
+    for_each_timed_consumer(view, d, [&](NodeId c) {
+      mark(c);
+      if (c != kNullNode && net.node(c).type == GateType::T1) {
+        for_each_t1_driver(c, mark);
       }
-    }
+    });
   };
   // Over-approximation of "whose evaluation reads stage[w]": w's window
   // bounds enter its producers and consumers; w's stage enters the spines of
@@ -449,59 +311,35 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
     for (uint8_t i = 0; i < node.num_fanins; ++i) {
       mark_spine_readers(resolve_producer(net, node.fanin(i)));
     }
-    for (const NodeId p : ctx.pins[w]) {
-      for (const NodeId c : ctx.consumers[p]) {
-        if (c == kNullNode) continue;
-        mark(c);
-        if (net.node(c).type == GateType::T1) {
-          const Node& b = net.node(c);
-          for (unsigned i = 0; i < 3; ++i) {
-            mark_spine_readers(resolve_producer(net, b.fanin(i)));
-          }
-        }
+    for_each_timed_consumer(view, w, [&](NodeId c) {
+      mark(c);
+      if (c != kNullNode && net.node(c).type == GateType::T1) {
+        for_each_t1_driver(c, mark_spine_readers);
       }
-    }
+    });
   };
   if (incr) {
     dirty.assign(net.size(), 0);
-    const std::vector<Stage> alap =
-        (view && params.output_slack == 0)
-            ? view->alap_stages()            // the view maintains exactly this
-            : sched_alap(net, ctx, pa.stage, out);
-    // Exact first-sweep window bound of \p u at the all-ASAP seed (where the
-    // local lower bound IS the seed stage): the same bound the sweep itself
-    // computes. Used where the conservative ALAP under-reports the window of
-    // a T1 input (eq. 3 grants up to slot −1 where ALAP assumes −3).
-    const auto sweep1_window_open = [&](NodeId u) {
-      Stage hi = kInf;
-      for (const NodeId p : ctx.pins[u]) {
-        for (const NodeId j : ctx.consumers[p]) {
-          if (j == kNullNode) {
-            hi = std::min(hi, out - 1);
-          } else if (net.node(j).type == GateType::T1) {
-            hi = std::min(hi, sched_t1_max_input_stage(net, pa.stage, j, u));
-          } else {
-            hi = std::min(hi, pa.stage[j] - 1);
-          }
-        }
-      }
-      if (hi >= kInf) {
-        hi = out - 1;
-      }
-      return hi > pa.stage[u];
-    };
+    // First sweep: at output_slack 0 only nodes whose slack window (the
+    // view's conservative eq.-3-aware ALAP − ASAP) is open; a zero-slack
+    // node's window is provably empty until a neighbour's committed move
+    // re-opens it. A later sink opens windows the view's ALAP does not
+    // see, so with slack every node starts dirty, as in the full sweep.
+    const std::vector<Stage>* alap =
+        params.output_slack == 0 ? &view.alap_stages() : nullptr;
     for (const NodeId u : order) {
       if (!is_scheduled(net.node(u).type)) continue;
-      bool open = alap[u] > pa.stage[u];
-      bool coupled = false;  // eq.-3-coupled: ALAP is conservative here
-      if (!open) {
-        for (const NodeId p : ctx.pins[u]) {
-          for (const NodeId c : ctx.consumers[p]) {
-            coupled |= c != kNullNode && net.node(c).type == GateType::T1;
-          }
-        }
+      if (alap == nullptr || (*alap)[u] > pa.stage[u]) {
+        dirty[u] = 1;
+        continue;
       }
-      if (open || (coupled && sweep1_window_open(u))) {
+      // The ALAP bounds a T1 input by the smallest landing slot (−3) where
+      // eq. 3 grants up to slot −1: check such windows exactly.
+      bool coupled = false;
+      for_each_timed_consumer(view, u, [&](NodeId c) {
+        coupled |= c != kNullNode && net.node(c).type == GateType::T1;
+      });
+      if (coupled && stage_upper_bound(view, pa.stage, out, u) > pa.stage[u]) {
         dirty[u] = 1;
       }
     }
@@ -513,12 +351,12 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
   uint64_t nodes_evaluated = 0;
   uint64_t nodes_skipped = 0;
   uint64_t moves_committed = 0;
+  StageScope scope;
   for (unsigned sweep = 0; sweep < params.max_sweeps; ++sweep) {
     bool changed = false;
     ++sweeps_run;
     for (const NodeId u : order) {
-      const Node& node = net.node(u);
-      if (!is_scheduled(node.type)) continue;
+      if (!is_scheduled(net.node(u).type)) continue;
       if (incr) {
         if (!dirty[u]) {
           ++nodes_skipped;
@@ -527,97 +365,7 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
         dirty[u] = 0;
       }
       ++nodes_evaluated;
-
-      const Stage lo = sched_local_lower_bound(net, pa.stage, u);
-      Stage hi = kInf;
-      std::vector<NodeId> u_consumers;
-      for (const NodeId pin : ctx.pins[u]) {
-        u_consumers.insert(u_consumers.end(), ctx.consumers[pin].begin(),
-                           ctx.consumers[pin].end());
-      }
-      for (const NodeId j : u_consumers) {
-        if (j == kNullNode) {
-          hi = std::min(hi, out - 1);
-        } else if (net.node(j).type == GateType::T1) {
-          hi = std::min(hi, sched_t1_max_input_stage(net, pa.stage, j, u));
-        } else {
-          hi = std::min(hi, pa.stage[j] - 1);
-        }
-      }
-      if (hi >= kInf) {
-        hi = out - 1;  // dead-end driver (shouldn't happen after sweep)
-      }
-      if (hi <= lo) {
-        continue;
-      }
-
-      // Affected cost scope: u, u's fanin drivers, all drivers of u's T1
-      // consumers; plus dedicated counts of adjacent T1s.
-      std::vector<NodeId> drivers{u};
-      std::vector<NodeId> t1s;
-      if (node.type == GateType::T1) {
-        t1s.push_back(u);
-      }
-      for (uint8_t i = 0; i < node.num_fanins; ++i) {
-        drivers.push_back(resolve_producer(net, node.fanin(i)));
-      }
-      for (const NodeId j : u_consumers) {
-        if (j != kNullNode && net.node(j).type == GateType::T1) {
-          t1s.push_back(j);
-          const Node& body = net.node(j);
-          for (unsigned i = 0; i < 3; ++i) {
-            drivers.push_back(resolve_producer(net, body.fanin(i)));
-          }
-        }
-      }
-      std::sort(drivers.begin(), drivers.end());
-      drivers.erase(std::unique(drivers.begin(), drivers.end()), drivers.end());
-      std::sort(t1s.begin(), t1s.end());
-      t1s.erase(std::unique(t1s.begin(), t1s.end()), t1s.end());
-
-      const auto local_cost = [&]() {
-        int64_t c = 0;
-        for (const NodeId d : drivers) {
-          c += ctx.element_spines(pa.stage, d);
-        }
-        for (const NodeId j : t1s) {
-          c += ctx.dedicated(pa.stage, j);
-        }
-        return c;
-      };
-
-      const Stage original = pa.stage[u];
-      int64_t best_cost = local_cost();
-      Stage best_stage = original;
-      // Candidate window: full range when small, else both ends.
-      std::vector<Stage> candidates;
-      if (hi - lo <= 6 * n) {
-        for (Stage x = lo; x <= hi; ++x) {
-          candidates.push_back(x);
-        }
-      } else {
-        for (Stage x = lo; x <= lo + 3 * n; ++x) {
-          candidates.push_back(x);
-        }
-        for (Stage x = hi - 3 * n; x <= hi; ++x) {
-          candidates.push_back(x);
-        }
-      }
-      for (const Stage x : candidates) {
-        if (x == original) continue;
-        pa.stage[u] = x;
-        if (node.type == GateType::T1 &&
-            pa.stage[u] < sched_local_lower_bound(net, pa.stage, u)) {
-          continue;  // eq. 3 must keep holding for u itself
-        }
-        const int64_t c = local_cost();
-        if (c < best_cost) {
-          best_cost = c;
-          best_stage = x;
-        }
-      }
-      pa.stage[u] = best_stage;
-      if (best_stage != original) {
+      if (descend_stage(view, pa.stage, out, u, scope)) {
         changed = true;
         ++moves_committed;
         if (incr) {
@@ -634,37 +382,30 @@ PhaseAssignment heuristic_assign(const Network& net, const PhaseAssignmentParams
   obs::count("sched.nodes_skipped", nodes_skipped);
   obs::count("sched.moves_committed", moves_committed);
 
-  // Ports/bufs mirror their producer (consumers always resolve, but the
-  // reported stage should be meaningful).
-  for (const NodeId id : net.topo_order()) {
-    const Node& node = net.node(id);
-    if (node.type == GateType::T1Port || node.type == GateType::Buf) {
-      pa.stage[id] = pa.stage[resolve_producer(net, id)];
-    }
-  }
   assert(assignment_feasible(net, pa.stage, out, params.clk));
   pa.estimated_dffs = plan_dffs(net, pa.stage, out, params.clk).total_dffs();
   return pa;
 }
 
-PhaseAssignment milp_assign(const Network& net, const PhaseAssignmentParams& params,
-                            const IncrementalView* view) {
+PhaseAssignment milp_assign(const IncrementalView& view,
+                            const PhaseAssignmentParams& params) {
   // Seed with the heuristic: it fixes the output stage and provides bounds
   // and a fallback result.
-  PhaseAssignment seed = heuristic_assign(net, params, view);
+  PhaseAssignment seed = heuristic_assign(view, params);
   if (!seed.feasible) {
     return seed;
   }
+  const Network& net = view.net();
   const Stage out = seed.output_stage;
   const Stage n = static_cast<Stage>(params.clk.phases);
-  const auto lvl = net.levels();
 
   LinearProgram lp;
   std::vector<int> var(net.size(), -1);
   std::vector<int> integer_vars;
   for (const NodeId id : net.topo_order()) {
     if (is_scheduled(net.node(id).type)) {
-      var[id] = lp.add_variable(static_cast<double>(lvl[id]), static_cast<double>(out - 1), 0.0);
+      var[id] = lp.add_variable(static_cast<double>(view.stage(id)),
+                                static_cast<double>(out - 1), 0.0);
       integer_vars.push_back(var[id]);
     }
   }
@@ -676,11 +417,10 @@ PhaseAssignment milp_assign(const Network& net, const PhaseAssignmentParams& par
     return {-1, 0.0};  // PIs and constants sit at stage 0
   };
 
-  SchedContext ctx(net, params.clk, out);
   // One m_d per physical pin with consumers.
   std::vector<int> m_var(net.size(), -1);
   for (NodeId d = 0; d < net.size(); ++d) {
-    if (!ctx.consumers[d].empty() && !is_const(net, resolve_producer(net, d))) {
+    if (!view.plan_consumers(d).empty() && !is_const(net, resolve_producer(net, d))) {
       m_var[d] = lp.add_variable(0.0, static_cast<double>(out), 1.0);
       integer_vars.push_back(m_var[d]);
     }
@@ -797,24 +537,17 @@ PhaseAssignment milp_assign(const Network& net, const PhaseAssignmentParams& par
 }  // namespace
 
 PhaseAssignment assign_phases(const Network& net, const PhaseAssignmentParams& params) {
-  switch (params.engine) {
-    case PhaseEngine::ExactMilp:
-      return milp_assign(net, params, nullptr);
-    case PhaseEngine::Heuristic:
-    default:
-      return heuristic_assign(net, params, nullptr);
-  }
+  Network copy = net;
+  const IncrementalView view(copy, CostModel(CellLibrary{}, AreaConfig{}, params.clk));
+  return assign_phases(view, params);
 }
 
 PhaseAssignment assign_phases(const IncrementalView& view,
                               const PhaseAssignmentParams& params) {
-  switch (params.engine) {
-    case PhaseEngine::ExactMilp:
-      return milp_assign(view.net(), params, &view);
-    case PhaseEngine::Heuristic:
-    default:
-      return heuristic_assign(view.net(), params, &view);
-  }
+  assert(view.model().clk().phases == params.clk.phases &&
+         "assign_phases: the view must price at the scheduled clocking");
+  return params.engine == PhaseEngine::ExactMilp ? milp_assign(view, params)
+                                                 : heuristic_assign(view, params);
 }
 
 }  // namespace t1sfq

@@ -14,20 +14,26 @@
 /// paper's collision cost (eq. 4).
 ///
 /// Two engines:
-///   * `Heuristic` — ASAP seed + coordinate-descent sweeps over σ, evaluating
-///     the exact shared-spine cost for every candidate move. By default the
-///     sweeps are *incremental* (`PhaseAssignmentParams::incremental`): the
-///     first sweep evaluates only nodes whose slack window (conservative
-///     eq.-3-aware ALAP − ASAP) is open, and later sweeps only nodes whose
-///     decision inputs a committed move actually touched — the
-///     ScheduleRefiner machinery (incr/schedule_refiner.hpp) generalized from
-///     a guard-local tool into the flow scheduler. Identical schedules to the
-///     legacy full sweep (pinned by tests and asserted in bench/scaling),
+///   * `Heuristic` — ASAP seed + coordinate-descent sweeps over σ. Each
+///     evaluation is `descend_stage` (incr/schedule_refiner.hpp), the
+///     per-node move the T1 commit guard's refiner runs too: the eq.-3
+///     window of one element, priced with the exact shared-spine cost of
+///     every candidate stage. By default the sweeps are *incremental*
+///     (`PhaseAssignmentParams::incremental`): the first sweep evaluates only
+///     nodes whose slack window (the view's conservative eq.-3-aware ALAP −
+///     ASAP) is open, and later sweeps only nodes whose decision inputs a
+///     committed move actually touched. Identical schedules to the legacy
+///     full sweep (pinned by tests and asserted in bench/scaling),
 ///     near-linear instead of O(n·sweeps);
 ///   * `ExactMilp` — the ILP of the paper (per-driver max objective,
 ///     assignment binaries for the T1 slot permutation) solved by the
 ///     in-repo branch-and-bound; intended for small/medium networks and used
 ///     to validate the heuristic.
+///
+/// Both engines run on an `IncrementalView` over the network (its ASAP
+/// stages, ALAP slack and consumer lists). The flow hands in the view its
+/// logical half maintained; `assign_phases(net, params)` builds one over a
+/// copy.
 
 #include <array>
 #include <cstdint>
@@ -100,25 +106,24 @@ std::array<int, 3> t1_slot_perm(const Network& net, const std::vector<Stage>& st
                                 NodeId t1, Stage n, int64_t* cost_out = nullptr);
 
 /// Minimal feasible stage of \p u given its fanins under \p stage (eq.-3
-/// aware for T1 bodies). Shared by the flow scheduler and the guard-local
-/// ScheduleRefiner so both agree on the per-node move window.
+/// aware for T1 bodies): the lower end of `descend_stage`'s move window.
 Stage sched_local_lower_bound(const Network& net, const std::vector<Stage>& stage,
                               NodeId u);
 
 /// Largest stage input \p u may take so that T1 consumer \p j stays feasible
-/// under eq. 3 with the other fanins fixed. Shared like the lower bound.
+/// under eq. 3 with the other fanins fixed (enters the window's upper end).
 Stage sched_t1_max_input_stage(const Network& net, const std::vector<Stage>& stage,
                                NodeId j, NodeId u);
 
-PhaseAssignment assign_phases(const Network& net, const PhaseAssignmentParams& params);
-
 class IncrementalView;
-/// View-seeded assignment: seeds the scheduler from the view's maintained
-/// ASAP stages and slack (alap − stage) instead of recomputing them, then
-/// runs the same engine as `assign_phases(view.net(), params)`. The view must
-/// be in sync with its network; it is only read.
+/// Schedules `view.net()`. The view must be in sync with its network and
+/// price at `params.clk` (its cost model's clocking); it is only read.
 PhaseAssignment assign_phases(const IncrementalView& view,
                               const PhaseAssignmentParams& params);
+
+/// Convenience for callers without a view: builds one over a copy of \p net
+/// (Buf-free, like every view) and schedules it.
+PhaseAssignment assign_phases(const Network& net, const PhaseAssignmentParams& params);
 
 /// Validates eq.-3/edge constraints of an assignment (used by tests).
 bool assignment_feasible(const Network& net, const std::vector<Stage>& stage,

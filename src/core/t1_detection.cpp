@@ -23,6 +23,28 @@ namespace {
 
 constexpr int64_t kInfCost = std::numeric_limits<int64_t>::max() / 4;
 
+/// DFF-trade term of the schedule-aware rescue's acceptance rule, mirroring
+/// the rewrite ranking's `jj + dff_marginal * depth` idea: a rescued
+/// candidate is charged kGuardDffLambda * dff_jj for every planned DFF its
+/// commit adds to the maintained (ASAP) plan. The refined estimate alone is
+/// optimistic — each rescue's scratch descent assumes the network realigns
+/// around it, and the final assignment cannot realize every rescue's private
+/// schedule at once — so the landing chains a rescue actually commits are
+/// paid for at a premium: they stretch the spines later candidates price
+/// against. Calibrated on the shrink-8 suite: 4.0 keeps every voter-class
+/// fusion win at +5 DFFs, where the raw refined-estimate rule (0) buys it
+/// with +30.
+constexpr double kGuardDffLambda = 4.0;
+
+/// Extra clock cycles the schedule-aware run may push the balanced sink past
+/// the measured ASAP-only counterfactual. The estimate prices area only;
+/// fusion cascades on rescue-reshaped landscapes otherwise spend whole
+/// pipeline cycles for single-digit JJ margins (measured: the optimized voter
+/// pays +1 cycle for 2 JJ), which Table I reports as a depth regression. 0
+/// makes the rescue latency-neutral by construction: it may fuse freely
+/// inside the latency the ASAP-only guard would have spent anyway.
+constexpr Stage kGuardLatencyBudget = 0;
+
 struct Match {
   NodeId root;
   T1PortFn fn;
@@ -56,33 +78,24 @@ bool is_candidate_root(GateType type) {
   }
 }
 
-/// DFF cost of landing a pulse from stage \p sd at exact stage \p t when the
-/// producer already keeps a spine of \p ext DFFs for its surviving consumers.
-/// Slot-aligned chains (gap divisible by n) ride the spine; misaligned ones
-/// need one dedicated landing DFF on top of the shared prefix — charged only
-/// when \p charge_dedicated.
-int64_t landing_cost(Stage sd, Stage t, Stage n, Stage ext, bool charge_dedicated) {
+/// Spine DFFs a landing chain from stage \p sd to exact stage \p t adds when
+/// the producer already keeps a spine of \p ext DFFs for its surviving
+/// consumers. A misaligned chain's dedicated landing DFF is not charged (the
+/// phase-alignment term counts savings only).
+int64_t landing_cost(Stage sd, Stage t, Stage n, Stage ext) {
   if (t < sd) {
     return kInfCost;
   }
-  const Stage gap = t - sd;
-  if (gap == 0) {
-    return 0;
-  }
-  const Stage shared = gap / n;  // spine DFFs the chain can ride/extend
-  int64_t cost = std::max<Stage>(0, shared - ext);
-  if (gap % n != 0 && charge_dedicated) {
-    ++cost;
-  }
-  return cost;
+  const Stage shared = (t - sd) / n;  // spine DFFs the chain can ride/extend
+  return std::max<Stage>(0, shared - ext);
 }
 
 /// Extended eq. 2: unified-JJ gain of fusing the candidate into one T1 cell.
 /// Stages, fanouts, consumer lists and spines come from the round's shared
 /// `IncrementalView` (the former private StageContext of this file).
 int64_t price_candidate(const Network& net, const CostModel& model,
-                        const IncrementalView& ctx, const T1DetectionParams& params,
-                        const Candidate& cand, const std::vector<T1PortFn>& fns) {
+                        const IncrementalView& ctx, const Candidate& cand,
+                        const std::vector<T1PortFn>& fns) {
   const CellLibrary& lib = model.lib();
   const MultiphaseConfig& clk = model.clk();
   const Stage n = static_cast<Stage>(clk.phases);
@@ -108,9 +121,6 @@ int64_t price_candidate(const Network& net, const CostModel& model,
     }
   }
   int64_t gain = union_area - static_cast<int64_t>(t1_area(lib, fns));
-  if (!params.dff_aware) {
-    return gain;
-  }
 
   // -- Clock shares: every dying cell was clocked; the replacement is one
   //    clocked body. (Port inverters are part of the port cost and carry no
@@ -193,25 +203,15 @@ int64_t price_candidate(const Network& net, const CostModel& model,
   do {
     int64_t total = 0;
     for (unsigned i = 0; i < 3 && total < kInfCost; ++i) {
-      const int64_t c = landing_cost(ls[i], sigma - slot[i], n, ext[i],
-                                     params.dff_pricing == T1DffPricing::Full);
+      const int64_t c = landing_cost(ls[i], sigma - slot[i], n, ext[i]);
       total = c >= kInfCost ? kInfCost : total + c;
     }
     best_landing = std::min(best_landing, total);
   } while (std::next_permutation(slot.begin(), slot.end()));
   dff_delta -= best_landing >= kInfCost ? 0 : best_landing;
-
-  switch (params.dff_pricing) {
-    case T1DffPricing::Off:
-      dff_delta = 0;
-      break;
-    case T1DffPricing::Savings:
-      dff_delta = std::max<int64_t>(0, dff_delta);
-      break;
-    case T1DffPricing::Full:
-      break;
-  }
-  gain += model.dff_jj() * dff_delta;
+  // Savings only: a net charge never vetoes a structural win (see the file
+  // comment of t1_detection.hpp for the measurement behind this).
+  gain += model.dff_jj() * std::max<int64_t>(0, dff_delta);
   return gain;
 }
 
@@ -240,7 +240,7 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
   // delta-maintained DFF plan and JJ estimate. It arrives settled at the
   // round-entry landscape, and pricing happens before any commit, so
   // candidate gains see exactly that landscape.
-  const bool guarded = params.require_positive_gain && params.dff_aware;
+  const bool guarded = params.require_positive_gain;
 
   // -- Group matching cuts by their (sorted) leaf triple. ----------------------
   std::map<std::array<NodeId, 3>, std::vector<Match>> groups;
@@ -303,7 +303,7 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
     for (const Match& m : cand.matches) {
       fns.push_back(m.fn);
     }
-    cand.gain = price_candidate(net, model, ctx, params, cand, fns);
+    cand.gain = price_candidate(net, model, ctx, cand, fns);
     if (cand.gain > 0 || !params.require_positive_gain) {
       if (found_keys.insert(cand.leaves).second) {
         ++stats.found;
@@ -343,7 +343,7 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
   // killed), the O(1) estimate is read off the delta-maintained plan, and a
   // reject rolls the edit back from the journal. Cost per candidate: the
   // touched cone. When the ASAP estimate alone is a loss, the schedule-aware
-  // rescue asks the ScheduleRefiner whether a few local stage sweeps recover
+  // rescue asks refine_schedule whether a few local stage sweeps recover
   // it. The estimate prices the *live* node set, PO-unreachable junk
   // included.
   //
@@ -397,7 +397,7 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
       // decision stream is untouched when the rescue is off): no commit —
       // rescued or plain — may push the balanced sink past the cycle the
       // ASAP-only counterfactual flow ends at (measured by the caller,
-      // plus `guard_latency_budget` extra cycles). The estimate prices
+      // plus kGuardLatencyBudget extra cycles). The estimate prices
       // area only; on rescue-reshaped landscapes marginal accepts
       // otherwise spend whole pipeline cycles for single-digit JJ margins,
       // which Table I reports as a depth regression.
@@ -407,15 +407,11 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
       bool accept = within_budget && trial_est <= current_est;
       if (!accept && within_budget && params.schedule_aware_guard) {
         ++rescue_attempts;
-        ScheduleRefinerParams rp;
-        rp.sweeps = params.guard_sweeps;
-        rp.radius = params.guard_radius;
-        const ScheduleRefiner refiner(ctx, rp);
         std::vector<NodeId> seeds{body};
         for (unsigned i = 0; i < 3; ++i) {
           seeds.push_back(resolve_producer(net, net.node(body).fanin(i)));
         }
-        const int64_t refined_planned = refiner.refine(seeds);
+        const int64_t refined_planned = refine_schedule(ctx, seeds);
         const int64_t refined_est =
             trial_est - (ctx.planned_dffs() - refined_planned) * model.dff_jj();
         // The lambda term prices the DFF trade the raw refined estimate
@@ -430,7 +426,7 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
         const int64_t dff_increase =
             std::max<int64_t>(0, ctx.planned_dffs() - planned_before);
         const int64_t premium = static_cast<int64_t>(
-            std::llround(params.guard_dff_lambda *
+            std::llround(kGuardDffLambda *
                          static_cast<double>(model.dff_jj() * dff_increase)));
         accept = refined_est + premium <= current_est;
         if (accept) {
@@ -516,7 +512,7 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
   //     exceed (a constant budget cannot work: the ASAP-only cascade
   //     legitimately spends a different number of extra cycles at different
   //     circuit scales, and the rescue reliably tempts the cascade exactly
-  //     one marginal cycle past whatever that is; `guard_latency_budget`
+  //     one marginal cycle past whatever that is; kGuardLatencyBudget
   //     grants extra cycles on top),
   //   * it is the fallback result: if the rescued run ends with a worse
   //     unified-JJ estimate or a deeper sink than the ASAP-only run — the
@@ -528,7 +524,7 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
   // Cost: detection runs twice in schedule-aware mode (milliseconds at
   // Table-I scale; past `guard_probe_max_gates` the probe is skipped).
   Stage cycle_cap = std::numeric_limits<Stage>::max() / 4;
-  const bool guarded = params.require_positive_gain && params.dff_aware;
+  const bool guarded = params.require_positive_gain;
   const bool guard_mode = params.schedule_aware_guard && guarded;
   // The probe run is quadratic-ish in practice (a full second detection);
   // past `guard_probe_max_gates` the envelope is anchored at the maintained
@@ -559,14 +555,12 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
     fallback_stats = detect_and_replace_t1(fallback_net, model, asap_only);
     Stage out0 = 1;
     asap_stages(fallback_net, &out0);
-    cycle_cap = model.clk().cycles(out0 - 1) +
-                static_cast<Stage>(params.guard_latency_budget);
+    cycle_cap = model.clk().cycles(out0 - 1) + kGuardLatencyBudget;
   } else if (guard_mode) {
     // guard_probe_max_gates exceeded: latency envelope from the maintained
     // depth bound, no probe run, no fallback comparison. Strictly tighter cap
     // (anchored at the input latency, which detect_round ratchets per round).
-    cycle_cap = model.clk().cycles(persistent->output_stage() - 1) +
-                static_cast<Stage>(params.guard_latency_budget);
+    cycle_cap = model.clk().cycles(persistent->output_stage() - 1) + kGuardLatencyBudget;
     obs::count("detect.guard.probe_skipped");
   }
   const unsigned rounds = std::max(1u, params.max_rounds);

@@ -13,15 +13,19 @@
 /// netlists that difference is large and eq. 2 alone recovers the paper's
 /// Table I. After pre-mapping optimization it is razor thin — an optimized
 /// full adder is a xor3+maj3 pair at 28 JJ against the 29 JJ T1 body — and
-/// raw eq. 2 silently converts nothing. `dff_aware` therefore extends the
-/// gain with the terms the unified cost model (cost/cost_model.hpp) can see
-/// locally:
+/// raw eq. 2 silently converts nothing. The gain is therefore extended with
+/// the terms the unified cost model (cost/cost_model.hpp) can see locally:
 ///   * clock-network shares — k dying clocked cells fund one clocked T1 body,
 ///   * splitter collapse — leaves feeding several cone gates feed the
 ///     time-multiplexed T1 inputs exactly once,
 ///   * phase alignment — dying interior/root DFF spines, minus the eq.-3
-///     landing chains the T1 inputs need (landing DFFs that cannot ride an
-///     existing spine are charged only when `charge_dedicated_landings`).
+///     landing chains the T1 inputs need, counted as savings only: a net
+///     DFF charge never vetoes a structural win. Per-candidate charges at
+///     ASAP stages assume the neighbours stay unconverted, which
+///     systematically overprices chain fusion — measured on the 16-bit seed
+///     adder, signed charging (dedicated landings included, paper eq. 4)
+///     converts 8/15 full adders for 1459 JJ where savings-only converts
+///     15/15 for 1165 JJ.
 /// Candidates with ΔA > 0 are committed greedily in descending-gain order; a
 /// candidate is skipped when a previous commitment consumed any of its roots,
 /// cone nodes or leaves ("found" vs "used" in Table I).
@@ -42,83 +46,40 @@ namespace t1sfq {
 
 class IncrementalView;
 
-/// How the phase-alignment DFF delta enters the detection gain.
-enum class T1DffPricing {
-  Off,      ///< raw eq. 2 terms only (no DFF arithmetic)
-  /// Net DFF savings count, charges never veto a structural win
-  /// (max(0, delta)). Recommended: per-candidate charges at ASAP stages
-  /// assume the neighbours stay unconverted, which systematically
-  /// overprices chain fusion — measured on the 16-bit seed adder, full
-  /// charging converts 8/15 full adders for 1459 JJ where savings-only
-  /// converts 15/15 for 1165 JJ.
-  Savings,
-  Full,     ///< signed delta incl. dedicated landing DFFs (paper eq. 4)
-};
-
 struct T1DetectionParams {
   unsigned max_cuts = 16;           ///< priority cuts kept per node
   bool require_positive_gain = true;  ///< commit only when ΔA > 0
   unsigned min_cuts_per_group = 2;  ///< paper: 2 <= n <= 5
   unsigned max_cuts_per_group = 5;
-  /// Extend eq. 2 with the unified-model clock-share and splitter-collapse
-  /// terms (false reproduces the paper's raw gate-area pricing).
-  bool dff_aware = true;
-  /// DFF-alignment term mode (only meaningful when `dff_aware`).
-  T1DffPricing dff_pricing = T1DffPricing::Savings;
   /// Detection rounds (each re-enumerates cuts on the rewritten network);
   /// 1 reproduces single-shot detection.
   unsigned max_rounds = 3;
   /// Schedule-aware guard: when the ASAP estimate alone would reject a
-  /// candidate, run bounded coordinate-descent sweeps (ScheduleRefiner)
-  /// around the new body and accept if the refined schedule recovers the
-  /// loss. ASAP stages cannot align voter-class landings; a few local sweeps
-  /// can — the final phase assignment then realizes the refined schedule.
-  /// Default on: the full acceptance rule (refined estimate + the DFF-lambda
-  /// premium below + the counterfactual latency envelope) plus the
+  /// candidate, run bounded coordinate-descent sweeps (`refine_schedule`,
+  /// incr/schedule_refiner.hpp) around the new body and accept if the
+  /// refined schedule recovers the loss. ASAP stages cannot align
+  /// voter-class landings; a few local sweeps can — the final phase
+  /// assignment then realizes the refined schedule. Default on: the full
+  /// acceptance rule (refined estimate + a DFF-lambda premium on committed
+  /// landing chains + the counterfactual latency envelope) plus the
   /// keep-the-better-result fallback make the rescue an improvement or a
-  /// no-op by construction —
-  /// on the shrink-8 suite it converts the voter-class majority trees the
-  /// ASAP guard declines (67 -> 92 T1, area 7400 -> 7210 JJ at +5 DFFs,
-  /// depth unchanged) and leaves every other Table-I figure alone (unpriced,
-  /// the raw rescue bought that win with +30 landing DFFs and one extra
-  /// pipeline cycle).
+  /// no-op by construction — on the shrink-8 suite it converts the
+  /// voter-class majority trees the ASAP guard declines (67 -> 92 T1, area
+  /// 7400 -> 7210 JJ at +5 DFFs, depth unchanged) and leaves every other
+  /// Table-I figure alone (unpriced, the raw rescue bought that win with +30
+  /// landing DFFs and one extra pipeline cycle). No commit may push the
+  /// balanced sink past the cycle the *ASAP-only counterfactual* ends at,
+  /// measured by running the same detection with the rescue off on a probe
+  /// copy (roughly doubling detection time, still milliseconds at Table-I
+  /// scale).
   bool schedule_aware_guard = true;
-  unsigned guard_sweeps = 2;  ///< refiner sweeps per rescued candidate
-  unsigned guard_radius = 3;  ///< BFS radius of the refiner's movable set
-  /// DFF-trade term of the rescue's acceptance rule, mirroring the rewrite
-  /// ranking's `jj + dff_marginal * depth` idea: a rescued candidate is
-  /// charged `guard_dff_lambda * dff_jj` for every planned DFF its commit
-  /// adds to the maintained (ASAP) plan. The refined estimate alone is
-  /// optimistic — each rescue's scratch descent assumes the network realigns
-  /// around it, and the final assignment cannot realize every rescue's
-  /// private schedule at once — so the landing chains a rescue actually
-  /// commits must be paid for at a premium: they stretch the spines later
-  /// candidates price against. Calibrated on the shrink-8 suite: 4.0 keeps
-  /// every voter-class fusion win while cutting the raw rescue's DFF bloat
-  /// roughly in half. 0 restores the raw refined-estimate rule.
-  double guard_dff_lambda = 4.0;
-  /// Latency budget of the schedule-aware acceptance rule: with the rescue
-  /// active, no commit (rescued or plain) may push the balanced sink more
-  /// than this many clock cycles past where the *ASAP-only counterfactual*
-  /// flow ends. The counterfactual is measured, not assumed — the same
-  /// detection runs with the rescue off on a probe copy (roughly doubling
-  /// detection time, still milliseconds at Table-I scale), and whichever
-  /// result ends with the better unified-JJ estimate and no deeper sink is
-  /// kept. The estimate prices area only; fusion cascades on rescue-reshaped
-  /// landscapes otherwise spend whole pipeline cycles for single-digit JJ
-  /// margins (measured: the optimized voter pays +1 cycle for 2 JJ), which
-  /// Table-I reports as a depth regression. The default 0 makes the rescue
-  /// latency-neutral by construction: it may fuse freely inside the latency
-  /// the ASAP-only guard would have spent anyway.
-  unsigned guard_latency_budget = 0;
   /// Probe-cost bound of the schedule-aware guard: the measured ASAP-only
   /// counterfactual run (which roughly doubles detection time) only executes
   /// when the network has at most this many gates. Above the bound the
   /// latency envelope is instead anchored at the *maintained* incremental
   /// depth bound — the persistent view's output stage at round entry, the
-  /// same anchor `detect_round` ratchets the cap to anyway — with
-  /// `guard_latency_budget` cycles on top, and the keep-the-better-result
-  /// fallback is skipped. Strictly more conservative than the probe (commits
+  /// same anchor `detect_round` ratchets the cap to anyway — and the
+  /// keep-the-better-result fallback is skipped. Strictly more conservative than the probe (commits
   /// may not deepen the sink past the *input* latency instead of past the
   /// ASAP-only *result* latency), so the no-depth-regression guarantee is
   /// preserved at a fraction of the cost on large netlists.
@@ -146,7 +107,7 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
 /// inherit the detection-built view, dirty set and all, instead of paying a
 /// fresh O(n) build. Identical decisions and network results. The view
 /// should be plan-tracking when the commit guard is active
-/// (`require_positive_gain && dff_aware`); a view detection cannot adopt
+/// (`require_positive_gain`); a view detection cannot adopt
 /// (wrong tracking mode) is rebuilt from the final network before returning,
 /// so the caller's view is valid either way.
 T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,

@@ -97,7 +97,8 @@ std::vector<uint32_t> splitter_fanouts(const Network& net) {
   return counts;
 }
 
-JJBreakdown CostModel::network_breakdown(const Network& net) const {
+JJBreakdown CostModel::network_breakdown(const Network& net, Stage* output_stage_out,
+                                         int64_t* planned_dffs_out) const {
   JJBreakdown b;
   std::size_t clocked = 0;
   for (NodeId id = 0; id < net.size(); ++id) {
@@ -128,6 +129,12 @@ JJBreakdown CostModel::network_breakdown(const Network& net) const {
   b.dff += static_cast<uint64_t>(planned) * lib_.jj_dff;
   clocked += static_cast<std::size_t>(planned);
   b.clock = static_cast<uint64_t>(clocked) * area_.clock_jj_per_clocked;
+  if (output_stage_out) {
+    *output_stage_out = output_stage;
+  }
+  if (planned_dffs_out) {
+    *planned_dffs_out = planned;
+  }
   return b;
 }
 

@@ -88,7 +88,10 @@ public:
   /// terms are exact, the DFF term is the shared-spine `plan_dffs` estimate
   /// (including T1 landing chains via eq. 3 stages). This is the per-stage
   /// metric the flow reports between optimization, detection and insertion.
-  JJBreakdown network_breakdown(const Network& net) const;
+  /// \p output_stage_out and \p planned_dffs_out (if non-null) receive the
+  /// ASAP sink stage and the plan total the DFF term is built from.
+  JJBreakdown network_breakdown(const Network& net, Stage* output_stage_out = nullptr,
+                                int64_t* planned_dffs_out = nullptr) const;
 
   /// Breakdown of a materialized physical netlist (DFFs are real nodes,
   /// splitters are counted by the inserter).

@@ -321,7 +321,8 @@ std::vector<NodeId> IncrementalView::plan_consumers(NodeId key) const {
   return out;
 }
 
-Stage IncrementalView::plan_spine_on(NodeId key, const std::vector<Stage>& stages) const {
+Stage IncrementalView::plan_spine_on(NodeId key, const std::vector<Stage>& stages,
+                                     Stage sink) const {
   if (is_const_type(net_.node(resolve_producer(net_, key)).type)) {
     return 0;
   }
@@ -344,8 +345,8 @@ Stage IncrementalView::plan_spine_on(NodeId key, const std::vector<Stage>& stage
       req = std::max(req, model_.clk().dffs_on_edge(sd, stages[c]));
     }
   }
-  if (key < po_refs_.size() && po_refs_[key] > 0) {
-    req = std::max(req, model_.clk().dffs_on_edge(sd, output_stage_));
+  if (is_po(key)) {
+    req = std::max(req, model_.clk().dffs_on_edge(sd, sink));
   }
   return req;
 }
@@ -367,7 +368,7 @@ int64_t IncrementalView::t1_dedicated_on(NodeId t1, const std::vector<Stage>& st
 }
 
 void IncrementalView::update_plan_pin(NodeId key) {
-  const Stage fresh = net_.is_dead(key) ? 0 : plan_spine_on(key, stage_);
+  const Stage fresh = net_.is_dead(key) ? 0 : plan_spine_on(key, stage_, output_stage_);
   total_spine_ += fresh - plan_spine_[key];
   plan_spine_[key] = fresh;
 }
@@ -776,10 +777,9 @@ JJBreakdown IncrementalView::estimate() const {
 /// Conservative eq.-3-aware ALAP of one node from its consumers' settled
 /// values: every T1 fanin is bounded by the smallest landing slot (body − 3),
 /// so stamping each node at its ALAP stage is always a feasible assignment.
-/// The scheduler's `sched_alap` (core/phase_assignment.cpp) implements the
-/// same recurrence over SchedContext; keep the two in lockstep — the
-/// incremental scheduler's slack-seeded first sweep relies on either one
-/// never under-reporting a move window (tests pin the paths identical).
+/// The incremental scheduler (core/phase_assignment.cpp) seeds its first
+/// sweep from this recurrence at `output_slack` 0, so it must never
+/// under-report a move window (tests pin that scheduler to the full sweep).
 Stage IncrementalView::compute_alap(NodeId id) const {
   Stage hi = po_refs_[id] > 0 ? output_stage_ - 1 : kInfStage;
   for (const NodeId c : consumers_[id]) {

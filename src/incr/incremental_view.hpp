@@ -129,9 +129,10 @@ public:
   JJBreakdown estimate() const;
 
   /// Recomputes the plan spine of \p key on \p stages (any feasible stage
-  /// vector over this network, e.g. a ScheduleRefiner scratch assignment)
-  /// instead of the maintained ASAP stages.
-  Stage plan_spine_on(NodeId key, const std::vector<Stage>& stages) const;
+  /// vector over this network with T1 taps aliased to their body, e.g. a
+  /// scheduler or refiner assignment) and the balanced-output sink \p sink,
+  /// instead of the maintained ASAP stages and output stage.
+  Stage plan_spine_on(NodeId key, const std::vector<Stage>& stages, Stage sink) const;
   /// Dedicated landing DFFs of T1 body \p t1 on \p stages.
   int64_t t1_dedicated_on(NodeId t1, const std::vector<Stage>& stages) const;
 

@@ -44,14 +44,52 @@ int64_t estimate_plan_dffs(const Network& net, const MultiphaseConfig& clk) {
   return plan_dffs(net, stage, max_po + 1, clk).total_dffs();
 }
 
-OptSummary PassManager::run(Network& net) {
-  OptSummary summary;
-  summary.gates_before = net.num_gates();
-  summary.depth_before = net.depth();
-  summary.plan_dffs_before = estimate_plan_dffs(net, params_.clk);
+namespace {
 
+/// One measurement of a network state — the figures PassStats and
+/// OptSummary record around a pass — from a single ASAP recurrence and DFF
+/// plan (the unified estimate's own).
+struct NetworkMeasure {
+  std::size_t gates = 0;
+  uint32_t depth = 0;
+  int64_t plan_dffs = 0;  ///< == estimate_plan_dffs(net, model.clk())
+  uint64_t jj = 0;        ///< == model.network_breakdown(net).total()
+};
+
+NetworkMeasure measure_network(const Network& net, const CostModel& model) {
+  NetworkMeasure m;
+  Stage out = 1;
+  m.jj = model.network_breakdown(net, &out, &m.plan_dffs).total();
+  m.gates = net.num_gates();
+  m.depth = static_cast<uint32_t>(out - 1);  // the sink sits one past the deepest PO
+  return m;
+}
+
+template <class Stats>
+void record_before(Stats& s, const NetworkMeasure& m) {
+  s.gates_before = m.gates;
+  s.depth_before = m.depth;
+  s.plan_dffs_before = m.plan_dffs;
+  s.jj_before = m.jj;
+}
+
+template <class Stats>
+void record_after(Stats& s, const NetworkMeasure& m) {
+  s.gates_after = m.gates;
+  s.depth_after = m.depth;
+  s.plan_dffs_after = m.plan_dffs;
+  s.jj_after = m.jj;
+}
+
+}  // namespace
+
+OptSummary PassManager::run(Network& net) {
   const CostModel model = params_.cost();
-  summary.jj_before = model.network_breakdown(net).total();
+  OptSummary summary;
+  // Pass k's after-network is pass k+1's before-network: N passes visit N+1
+  // states, each measured once.
+  NetworkMeasure state = measure_network(net, model);
+  record_before(summary, state);
 
   for (unsigned round = 0; round < params_.rounds; ++round) {
     std::size_t round_applied = 0;
@@ -59,10 +97,7 @@ OptSummary PassManager::run(Network& net) {
       PassStats ps;
       ps.name = pass->name();
       ps.round = round;
-      ps.gates_before = net.num_gates();
-      ps.depth_before = net.depth();
-      ps.plan_dffs_before = estimate_plan_dffs(net, params_.clk);
-      ps.jj_before = model.network_breakdown(net).total();
+      record_before(ps, state);
 
       Network before;
       if (params_.verify) {
@@ -97,10 +132,8 @@ OptSummary PassManager::run(Network& net) {
         obs::count("opt.pass.runs");
       }
 
-      ps.gates_after = net.num_gates();
-      ps.depth_after = net.depth();
-      ps.plan_dffs_after = estimate_plan_dffs(net, params_.clk);
-      ps.jj_after = model.network_breakdown(net).total();
+      state = measure_network(net, model);
+      record_after(ps, state);
       round_applied += ps.applied;
       summary.passes.push_back(std::move(ps));
     }
@@ -109,10 +142,7 @@ OptSummary PassManager::run(Network& net) {
     }
   }
 
-  summary.gates_after = net.num_gates();
-  summary.depth_after = net.depth();
-  summary.plan_dffs_after = estimate_plan_dffs(net, params_.clk);
-  summary.jj_after = model.network_breakdown(net).total();
+  record_after(summary, state);
   for (const PassStats& ps : summary.passes) {
     summary.total_applied += ps.applied;
   }

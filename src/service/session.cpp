@@ -134,11 +134,6 @@ void EcoSession::establish_(const FlowRequest& request, FlowResponse& resp) {
   state_.reset();  // old view dies before its network
   state_ = std::make_unique<State>();
   run_logical_flow(clean, params_, state_->result, state_->view);
-  if (eco_capable_ && !state_->view) {
-    // ECO patches go through a view; detection leaves one only with T1 on.
-    // View-seeded assignment is pinned identical to the from-scratch one.
-    state_->view.emplace(state_->result.mapped, params_.cost(), /*track_plan=*/true);
-  }
   base_ = std::move(clean);
   finish_flow_(t0, resp);
 
@@ -284,7 +279,7 @@ void EcoSession::apply_eco_(const NetDiff& d, Network& clean, FlowResponse& resp
 
 void EcoSession::finish_flow_(Clock::time_point t_start, FlowResponse& resp) {
   FlowResult& res = state_->result;
-  run_physical_flow(base_, params_, res, state_->view ? &*state_->view : nullptr);
+  run_physical_flow(base_, params_, res, *state_->view);
   res.timings.total_ms = ms_since(t_start);
 
   resp.ok = true;

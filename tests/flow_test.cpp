@@ -112,6 +112,26 @@ TEST(Flow, AreaConfigSwitchesMatter) {
   EXPECT_GT(without_split.metrics.area_jj, without_clock.metrics.area_jj);
 }
 
+TEST(Flow, T1OffScheduleMatchesFullSweepReference) {
+  // Without T1 the flow still schedules on a view of its own; the result
+  // must be the full-sweep scheduler's on the mapped network.
+  const Network net = bench::epfl_voter(15);
+  for (const Stage slack : {Stage{0}, Stage{3}}) {
+    FlowParams fp;
+    fp.use_t1 = false;
+    fp.output_slack = slack;
+    const FlowResult res = run_flow(net, fp);
+    PhaseAssignmentParams pp;
+    pp.clk = fp.clk;
+    pp.output_slack = slack;
+    pp.incremental = false;
+    const PhaseAssignment ref = assign_phases(res.mapped, pp);
+    EXPECT_EQ(res.assignment.stage, ref.stage) << "slack " << slack;
+    EXPECT_EQ(res.assignment.output_stage, ref.output_stage);
+    EXPECT_EQ(res.assignment.estimated_dffs, ref.estimated_dffs);
+  }
+}
+
 TEST(Flow, MilpEngineOnTinyCircuit) {
   const Network net = small_adder(2);
   FlowParams p = make_params(4, true);

@@ -15,11 +15,12 @@
 #include <algorithm>
 #include <random>
 
+#include "benchmarks/arith.hpp"
+#include "benchmarks/epfl.hpp"
 #include "core/flow.hpp"
 #include "core/phase_assignment.hpp"
 #include "core/t1_detection.hpp"
 #include "cost/cost_model.hpp"
-#include "benchmarks/epfl.hpp"
 #include "incr/incremental_view.hpp"
 #include "incr/schedule_refiner.hpp"
 #include "network/mffc.hpp"
@@ -419,6 +420,42 @@ TEST(IncrementalView, AlapStagesAreFeasibleAndAtLeastAsap) {
   EXPECT_GE(view.alap_stages()[g], view.stage(g));
 }
 
+/// The scheduler and the guard's refiner price moves with `plan_spine_on` /
+/// `t1_dedicated_on` on their own stage vectors and sink; summed over a
+/// final schedule they must reproduce the insertion plan exactly — at the
+/// ASAP sink and at a later one (the `output_slack` sink the view's own
+/// output stage does not know about).
+TEST(IncrementalView, PlanSpineOnMatchesPlanDffsAtAnySink) {
+  const CostModel model = default_model();
+  Network net;
+  const Word a = add_pi_word(net, 12, "a");
+  const Word b = add_pi_word(net, 12, "b");
+  add_po_word(net, ripple_carry_adder(net, a, b, net.get_const0()), "s");
+  detect_and_replace_t1(net, model);
+  const IncrementalView view(net, model);
+
+  for (const Stage slack : {Stage{0}, Stage{3}}) {
+    PhaseAssignmentParams pp;
+    pp.clk = model.clk();
+    pp.output_slack = slack;
+    const PhaseAssignment pa = assign_phases(view, pp);
+    ASSERT_TRUE(pa.feasible);
+    const InsertionPlan plan = plan_dffs(net, pa.stage, pa.output_stage, pp.clk);
+    int64_t dedicated = 0;
+    std::size_t t1s = 0;
+    for (const NodeId id : net.topo_order()) {
+      EXPECT_EQ(view.plan_spine_on(id, pa.stage, pa.output_stage), plan.spine_len[id])
+          << "pin " << id << ", slack " << slack;
+      if (net.node(id).type == GateType::T1) {
+        dedicated += view.t1_dedicated_on(id, pa.stage);
+        ++t1s;
+      }
+    }
+    EXPECT_GT(t1s, 0u);
+    EXPECT_EQ(dedicated, plan.dedicated_landings) << "slack " << slack;
+  }
+}
+
 /// Regression: the incremental commit path retracts a cone's whole dangling
 /// closure eagerly, so a stale candidate (enumerated at round start) can name
 /// cascade-killed nodes — it must be skipped via the consumed set, never
@@ -439,7 +476,7 @@ TEST(IncrementalView, GreedyDetectionOnJunkRichNetworksIsSafeAndSound) {
 }
 
 // ---------------------------------------------------------------------------
-// Schedule-aware guard (ScheduleRefiner)
+// Schedule-aware guard (refine_schedule)
 // ---------------------------------------------------------------------------
 
 TEST(ScheduleRefiner, NeverWorseThanTheAsapPlan) {
@@ -451,10 +488,9 @@ TEST(ScheduleRefiner, NeverWorseThanTheAsapPlan) {
   T1DetectionParams det;  // default: ASAP-only guard
   detect_and_replace_t1(net, model, det);
   IncrementalView view(net, model, /*track_plan=*/true);
-  const ScheduleRefiner refiner(view);
   for (NodeId id = 0; id < net.size(); ++id) {
     if (!net.is_dead(id) && net.node(id).type == GateType::T1) {
-      EXPECT_LE(refiner.refine({id}), view.planned_dffs());
+      EXPECT_LE(refine_schedule(view, {id}), view.planned_dffs());
     }
   }
 }

@@ -267,20 +267,33 @@ TEST(PhaseAssignment, IncrementalSchedulerMatchesLegacyFullSweep) {
   }
 }
 
-/// The view-seeded overload must agree with the from-scratch entry point.
+/// The flow schedules on the view detection hands back — maintained through
+/// every commit and rebound through the final compaction, not rebuilt. Its
+/// incremental schedule must equal the full-sweep reference on a fresh view
+/// of the same network, at the ASAP sink and with output slack.
 TEST(PhaseAssignment, ViewSeededOverloadMatchesFromScratch) {
   Network net;
   const Word a = add_pi_word(net, 12, "a");
   const Word b = add_pi_word(net, 12, "b");
   add_po_word(net, ripple_carry_adder(net, a, b, net.get_const0()), "s");
-  detect_and_replace_t1(net, CellLibrary{});
-
   const CostModel model(CellLibrary{}, AreaConfig{}, MultiphaseConfig{4});
-  const IncrementalView view(net, model);
-  const auto from_net = assign_phases(net, params(4));
-  const auto from_view = assign_phases(view, params(4));
-  EXPECT_EQ(from_view.stage, from_net.stage);
-  EXPECT_EQ(from_view.estimated_dffs, from_net.estimated_dffs);
+  IncrementalView view(net, model, /*track_plan=*/true);
+  const T1DetectionStats det = detect_and_replace_t1(net, model, T1DetectionParams{}, &view);
+  ASSERT_GT(det.used, 0u);
+  ASSERT_GE(view.view_stats().rebinds, 1u);
+
+  for (const Stage slack : {Stage{0}, Stage{3}}) {
+    PhaseAssignmentParams p = params(4);
+    p.output_slack = slack;
+    p.incremental = false;
+    const auto full_sweep = assign_phases(net, p);
+    p.incremental = true;
+    const auto from_view = assign_phases(view, p);
+    ASSERT_TRUE(from_view.feasible);
+    EXPECT_EQ(from_view.stage, full_sweep.stage) << "slack " << slack;
+    EXPECT_EQ(from_view.output_stage, full_sweep.output_stage);
+    EXPECT_EQ(from_view.estimated_dffs, full_sweep.estimated_dffs);
+  }
 }
 
 }  // namespace
