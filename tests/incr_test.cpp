@@ -318,8 +318,8 @@ TEST(IncrementalView, PartitionMergeDetectAssignComposedWithMidFlowCleanup) {
   // is rebound through an explicit mid-flow compaction (rebind_after_cleanup),
   // detection adopts that same view (rebinding it again through its own final
   // compaction), and the scheduler is seeded from the maintained state. The
-  // whole composition must land on exactly the schedule the view-free
-  // reference pipeline computes.
+  // whole composition must land on exactly the schedule the reference
+  // pipeline computes on a fresh view of its own network.
   const CostModel model = default_model();
   for (const uint64_t seed : {21ull, 84ull}) {
     const Network input =
@@ -333,8 +333,8 @@ TEST(IncrementalView, PartitionMergeDetectAssignComposedWithMidFlowCleanup) {
     op.partition_min_gates = 1;  // force the partition/merge path at this size
     op.partition_max_region = 48;
 
-    // Reference: partitioned optimize, private-view detection, scratch-seeded
-    // scheduler.
+    // Reference: partitioned optimize, private-view detection, scheduler on
+    // a fresh view.
     Network ref_net = input;
     optimize(ref_net, op);
     T1DetectionParams det;
