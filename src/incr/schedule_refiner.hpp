@@ -72,10 +72,9 @@ struct StageScope {
 /// whole window when it spans at most 6n stages, else 3n+1 stages at each
 /// end. Each candidate is priced as `plan_spine_on` + `t1_dedicated_on` over
 /// the pins and T1 bodies u's stage enters (the pins of u, its fanin pins and
-/// every fanin pin of a T1 it touches); the cheapest wins, ties keeping the
-/// lower stage and the current stage over any other. Moves u (and its taps)
-/// there and returns true when it changed; \p scope then holds what the move
-/// priced.
+/// every fanin pin of a T1 it touches); the cheapest wins, ties going to the
+/// current stage, then to the lower stage. Moves u (and its taps) there and
+/// returns true when it changed; \p scope then holds what the move priced.
 bool descend_stage(const IncrementalView& view, std::vector<Stage>& stage, Stage sink,
                    NodeId u, StageScope& scope);
 
