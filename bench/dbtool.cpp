@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -47,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "benchmarks/argparse.hpp"
 #include "obs/resultdb.hpp"
 
 using namespace t1sfq;
@@ -394,40 +394,32 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   obs::GateOptions gate_opts;
   obs::ReportOptions report_opts;
-  for (int i = 2; i < argc; ++i) {
-    const auto flag = [&](const char* name) {
-      return std::strcmp(argv[i], name) == 0 && i + 1 < argc;
-    };
-    if (flag("--db")) {
-      db_path = argv[++i];
-    } else if (flag("--bench")) {
-      bench_filter = argv[++i];
-    } else if (flag("--circuit")) {
-      circuit_filter = argv[++i];
-    } else if (flag("--from") || flag("--current")) {
-      files.push_back(argv[++i]);
-    } else if (flag("--base")) {
-      base = argv[++i];
-    } else if (flag("--target")) {
-      target = argv[++i];
-    } else if (flag("--last-k")) {
-      gate_opts.last_k = std::stoul(argv[++i]);
-      report_opts.last_k = gate_opts.last_k;
-    } else if (flag("--ratio-frac")) {
-      gate_opts.ratio_frac = std::stod(argv[++i]);
-    } else if (flag("--ratio-floor")) {
-      gate_opts.ratio_floor = std::stod(argv[++i]);
-    } else if (flag("--quality-tol")) {
-      gate_opts.quality_tol = std::stod(argv[++i]);
-    } else if (flag("--top")) {
-      gate_opts.explain_top = std::stoul(argv[++i]);
-    } else if (flag("--out")) {
-      out_md = argv[++i];
-    } else if (flag("--html")) {
-      out_html = argv[++i];
-    } else {
-      return usage();
-    }
+  // `--last-k` is the gate's ratio window, or the report's trajectory length.
+  std::size_t* last_k = cmd == "report" ? &report_opts.last_k : &gate_opts.last_k;
+  bench::ArgParser args("dbtool " + cmd);
+  args.string_opt("--db", &db_path, "path", "result database (default bench_history.jsonl)")
+      .string_opt("--bench", &bench_filter, "B", "list: only this bench")
+      .string_opt("--circuit", &circuit_filter, "C", "list: only this circuit")
+      .repeated_string_opt("--from", &files, "bench.json",
+                           "append: a t1sfq-bench-v1 document (repeatable)")
+      .repeated_string_opt("--current", &files, "bench.json",
+                           "gate/explain: the current run's document (repeatable)")
+      .string_opt("--base", &base, "commit", "compare/explain: reference commit")
+      .string_opt("--target", &target, "commit", "compare/explain: target commit")
+      .size_opt("--last-k", last_k, "N",
+                "gate: ratio-median window; report: entries per trajectory")
+      .double_opt("--ratio-frac", &gate_opts.ratio_frac, "F",
+                  "ratio bound as a fraction of the median")
+      .double_opt("--ratio-floor", &gate_opts.ratio_floor, "F", "absolute ratio floor")
+      .double_opt("--quality-tol", &gate_opts.quality_tol, "F",
+                  "relative metric tolerance (0 = exact)")
+      .size_opt("--top", &gate_opts.explain_top, "N", "counter deltas per attribution")
+      .string_opt("--out", &out_md, "file.md", "report: markdown output")
+      .string_opt("--html", &out_html, "file.html", "report: HTML output");
+  // The parser sees the flags after the command (argv[1] stands in for the
+  // program name).
+  if (!args.parse(argc - 1, argv + 1)) {
+    return 2;
   }
 
   if (cmd == "append") {

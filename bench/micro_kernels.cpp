@@ -39,30 +39,28 @@ void BM_T1Detection(benchmark::State& state) {
   const Network net = make_adder(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
     Network work = net;
-    benchmark::DoNotOptimize(detect_and_replace_t1(work, CellLibrary{}));
+    benchmark::DoNotOptimize(detect_and_replace_t1(work, CostModel{}));
   }
 }
 BENCHMARK(BM_T1Detection)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_PhaseAssignment(benchmark::State& state) {
   Network net = make_adder(static_cast<unsigned>(state.range(0)));
-  detect_and_replace_t1(net, CellLibrary{});
+  detect_and_replace_t1(net, CostModel{});
   net = net.cleanup();
-  PhaseAssignmentParams p;
-  p.clk.phases = 4;
+  const MultiphaseConfig clk{4};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(assign_phases(net, p));
+    benchmark::DoNotOptimize(assign_phases(net, clk));
   }
 }
 BENCHMARK(BM_PhaseAssignment)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_DffInsertion(benchmark::State& state) {
   Network net = make_adder(static_cast<unsigned>(state.range(0)));
-  PhaseAssignmentParams p;
-  p.clk.phases = 4;
-  const auto pa = assign_phases(net, p);
+  const MultiphaseConfig clk{4};
+  const auto pa = assign_phases(net, clk);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(insert_dffs(net, pa, p.clk));
+    benchmark::DoNotOptimize(insert_dffs(net, pa, clk));
   }
 }
 BENCHMARK(BM_DffInsertion)->Arg(16)->Arg(64)->Arg(128);
@@ -86,7 +84,7 @@ void BM_Optimize(benchmark::State& state) {
     state.PauseTiming();
     Network copy = net;
     state.ResumeTiming();
-    benchmark::DoNotOptimize(optimize(copy, op));
+    benchmark::DoNotOptimize(optimize(copy, CostModel{}, op));
   }
   state.SetItemsProcessed(state.iterations() * net.num_gates());
 }
@@ -95,7 +93,7 @@ BENCHMARK(BM_Optimize)->Arg(16)->Arg(64)->Arg(128);
 void BM_SatEquivalence(benchmark::State& state) {
   const Network a = make_adder(static_cast<unsigned>(state.range(0)));
   Network b = a;
-  detect_and_replace_t1(b, CellLibrary{});
+  detect_and_replace_t1(b, CostModel{});
   b = b.cleanup();
   for (auto _ : state) {
     benchmark::DoNotOptimize(check_equivalence_sat(a, b));

@@ -147,11 +147,10 @@ struct PaRace {
 PaRace race_assignment(const Network& net) {
   using clock = std::chrono::steady_clock;
   PhaseAssignmentParams pp;
-  pp.clk = MultiphaseConfig{4};
   // Both engines schedule one view, built outside the timed regions: the
   // race times the schedulers, not the network copy and view build.
   Network scheduled = net;
-  const IncrementalView view(scheduled, CostModel(CellLibrary{}, AreaConfig{}, pp.clk));
+  const IncrementalView view(scheduled, CostModel{});
 
   // Untimed warm-up so the first timed engine does not also pay the
   // first-touch cost of the post-detection network (which would bias the
@@ -189,7 +188,7 @@ StageTimes run_once(const Network& input, Network& final_net) {
   net = net.cleanup();
 
   auto t0 = clock::now();
-  optimize(net, sweep_opt());
+  optimize(net, model, sweep_opt());
   auto t1 = clock::now();
 
   // The plain ASAP guard, one round: the schedule-aware rescue's
@@ -237,7 +236,7 @@ PartRace race_partition(const Network& input, unsigned jobs,
 
   Network seq = base;
   const auto t0 = clock::now();
-  optimize(seq, op);
+  optimize(seq, CostModel{}, op);
   const auto t1 = clock::now();
 
   OptParams pop = op;
@@ -245,7 +244,7 @@ PartRace race_partition(const Network& input, unsigned jobs,
   Network par = base;
   PartRace r;
   const auto t2 = clock::now();
-  part::optimize_partitioned(par, pop, &r.stats);
+  part::optimize_partitioned(par, CostModel{}, pop, &r.stats);
   const auto t3 = clock::now();
 
   r.seq_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();

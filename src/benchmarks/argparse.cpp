@@ -1,8 +1,9 @@
 #include "benchmarks/argparse.hpp"
 
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace t1sfq::bench {
 
@@ -21,6 +22,21 @@ std::function<bool(const std::string&)> numeric(T* out, Conv conv) {
       return false;
     }
   };
+}
+
+/// std::stoull for a count or size: a minus sign is malformed, not wrapped
+/// around (std::stoull("-1") returns ULLONG_MAX), and a value above \p max
+/// is out of range rather than truncated.
+unsigned long long parse_unsigned(const std::string& text, std::size_t* used,
+                                  unsigned long long max) {
+  if (text.find('-') != std::string::npos) {
+    throw std::invalid_argument(text);
+  }
+  const unsigned long long value = std::stoull(text, used);
+  if (value > max) {
+    throw std::out_of_range(text);
+  }
+  return value;
 }
 
 }  // namespace
@@ -49,7 +65,8 @@ ArgParser& ArgParser::uint_opt(const char* name, unsigned* out, const char* meta
                                const char* help) {
   return add_({name, true, metavar, help,
                numeric(out, [](const std::string& s, std::size_t* used) {
-                 return static_cast<unsigned>(std::stoul(s, used));
+                 return static_cast<unsigned>(
+                     parse_unsigned(s, used, std::numeric_limits<unsigned>::max()));
                })});
 }
 
@@ -57,7 +74,8 @@ ArgParser& ArgParser::u64_opt(const char* name, uint64_t* out, const char* metav
                               const char* help) {
   return add_({name, true, metavar, help,
                numeric(out, [](const std::string& s, std::size_t* used) {
-                 return static_cast<uint64_t>(std::stoull(s, used));
+                 return static_cast<uint64_t>(
+                     parse_unsigned(s, used, std::numeric_limits<uint64_t>::max()));
                })});
 }
 
@@ -65,7 +83,8 @@ ArgParser& ArgParser::size_opt(const char* name, std::size_t* out, const char* m
                                const char* help) {
   return add_({name, true, metavar, help,
                numeric(out, [](const std::string& s, std::size_t* used) {
-                 return static_cast<std::size_t>(std::stoull(s, used));
+                 return static_cast<std::size_t>(
+                     parse_unsigned(s, used, std::numeric_limits<std::size_t>::max()));
                })});
 }
 
@@ -85,6 +104,14 @@ ArgParser& ArgParser::string_opt(const char* name, std::string* out,
                }});
 }
 
+ArgParser& ArgParser::repeated_string_opt(const char* name, std::vector<std::string>* out,
+                                          const char* metavar, const char* help) {
+  return add_({name, true, metavar, help, [out](const std::string& text) {
+                 out->push_back(text);
+                 return true;
+               }});
+}
+
 ArgParser& ArgParser::uint_list(const char* name, std::vector<unsigned>* out,
                                 const char* metavar, const char* help) {
   return add_({name, true, metavar, help, [out](const std::string& text) {
@@ -94,7 +121,8 @@ ArgParser& ArgParser::uint_list(const char* name, std::vector<unsigned>* out,
                  while (std::getline(ss, item, ',')) {
                    try {
                      std::size_t used = 0;
-                     values.push_back(static_cast<unsigned>(std::stoul(item, &used)));
+                     values.push_back(static_cast<unsigned>(
+                         parse_unsigned(item, &used, std::numeric_limits<unsigned>::max())));
                      if (used != item.size()) return false;
                    } catch (const std::exception&) {
                      return false;

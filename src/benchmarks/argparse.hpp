@@ -44,6 +44,10 @@ class ArgParser {
                         const char* help);
   ArgParser& string_opt(const char* name, std::string* out, const char* metavar,
                         const char* help);
+  /// Repeatable string option (e.g. `--from a.json --from b.json`): every
+  /// occurrence appends its value to *out, in command-line order.
+  ArgParser& repeated_string_opt(const char* name, std::vector<std::string>* out,
+                                 const char* metavar, const char* help);
   /// Comma-separated unsigned list (e.g. `--points 1000,2000,5000`);
   /// replaces *out entirely when the flag is present.
   ArgParser& uint_list(const char* name, std::vector<unsigned>* out,

@@ -63,24 +63,22 @@ void run_logical_flow(const Network& input, const FlowParams& params,
   }
   const CostModel model = params.cost();
 
-  result.metrics.pre_opt_gates = result.mapped.num_gates();
-  result.metrics.pre_opt_depth = result.mapped.depth();
-  result.metrics.pre_opt_area_jj = model.network_breakdown(result.mapped).total();
+  const NetworkMeasure pre = model.measure_network(result.mapped);
+  result.metrics.pre_opt_gates = pre.gates;
+  result.metrics.pre_opt_depth = pre.depth;
+  result.metrics.pre_opt_area_jj = pre.jj;
+  NetworkMeasure post = pre;
   if (params.opt.enable) {
-    obs::Span span("flow.opt", "gates_in",
-                   static_cast<int64_t>(result.mapped.num_gates()));
+    obs::Span span("flow.opt", "gates_in", static_cast<int64_t>(pre.gates));
     const Clock::time_point t0 = Clock::now();
-    OptParams op = params.opt;
-    op.clk = params.clk;
-    op.lib = params.lib;
-    op.area = params.area;
-    result.opt = optimize(result.mapped, op);
+    result.opt = optimize(result.mapped, model, params.opt);
     result.metrics.opt_applied = result.opt.total_applied;
     result.timings.opt_ms = ms_since(t0);
+    post = model.measure_network(result.mapped);
   }
-  result.metrics.opt_gates = result.mapped.num_gates();
-  result.metrics.opt_depth = result.mapped.depth();
-  result.metrics.opt_area_jj = model.network_breakdown(result.mapped).total();
+  result.metrics.opt_gates = post.gates;
+  result.metrics.opt_depth = post.depth;
+  result.metrics.opt_area_jj = post.jj;
 
   if (!params.use_t1) {
     view.emplace(result.mapped, model, /*track_plan=*/true);
@@ -100,14 +98,14 @@ void run_logical_flow(const Network& input, const FlowParams& params,
 
 void run_physical_flow(const Network& golden, const FlowParams& params,
                        FlowResult& result, const IncrementalView& view) {
-  const CostModel model = params.cost();
-  result.metrics.detect_area_jj = model.network_breakdown(result.mapped).total();
+  // The view was built under the flow's model: every step below prices and
+  // clocks through it.
+  const CostModel& model = view.model();
+  const MultiphaseConfig& clk = model.clk();
+  result.metrics.detect_area_jj = view.estimate().total();
 
   PhaseAssignmentParams pp;
-  pp.clk = params.clk;
   pp.engine = params.engine;
-  pp.max_sweeps = params.max_sweeps;
-  pp.milp_max_nodes = params.milp_max_nodes;
   pp.output_slack = params.output_slack;
   {
     obs::Span span("flow.assign", "gates_in",
@@ -123,7 +121,7 @@ void run_physical_flow(const Network& golden, const FlowParams& params,
   {
     obs::Span span("flow.insert_dffs");
     const Clock::time_point t0 = Clock::now();
-    result.physical = insert_dffs(result.mapped, result.assignment, params.clk);
+    result.physical = insert_dffs(result.mapped, result.assignment, clk);
     result.timings.insert_ms = ms_since(t0);
   }
 
@@ -136,7 +134,7 @@ void run_physical_flow(const Network& golden, const FlowParams& params,
   result.metrics.area_jj = result.metrics.breakdown.total();
   // Depth in cycles: epoch of the last real firing (the virtual PO sink sits
   // one stage after the deepest balanced element).
-  result.metrics.depth_cycles = params.clk.cycles(result.assignment.output_stage - 1);
+  result.metrics.depth_cycles = clk.cycles(result.assignment.output_stage - 1);
 
   if (params.physics_check) {
     obs::Span span("flow.physics");
@@ -144,8 +142,7 @@ void run_physical_flow(const Network& golden, const FlowParams& params,
     // Golden = the flow's *input*: the oracle then covers cleanup, opt, T1
     // rewrite, assignment and DFF insertion end to end, not just the last
     // stage.
-    result.physics = verify::physics_check(result.physical, params.clk, golden,
-                                           params.physics);
+    result.physics = verify::physics_check(result.physical, clk, golden, params.physics);
     result.timings.physics_ms = ms_since(t0);
     if (!result.physics.ok) {
       throw PhysicsViolationError("run_flow: " + result.physics.summary());

@@ -37,17 +37,15 @@ struct FlowParams {
   MultiphaseConfig clk{4};
   bool use_t1 = true;
   PhaseEngine engine = PhaseEngine::Heuristic;
-  unsigned max_sweeps = 12;
-  uint64_t milp_max_nodes = 20000;
   /// Latency slack for a min-area mode: extra stages granted to the balanced
   /// output sink (see PhaseAssignmentParams::output_slack).
   Stage output_slack = 0;
   CellLibrary lib{};
   AreaConfig area{};
   T1DetectionParams detection{};
-  /// Pre-mapping logic optimization (opt/pass.hpp), run before T1 detection.
-  /// `opt.enable = false` reproduces the unoptimized seed flows; `opt.clk`
-  /// and `opt.lib` are overridden with the flow's own values.
+  /// Pre-mapping logic optimization (opt/pass.hpp), run before T1 detection
+  /// and priced through `cost()`. `opt.enable = false` reproduces the
+  /// unoptimized seed flows.
   OptParams opt{};
   /// Record metrics and tracing spans (src/obs/) for the duration of this
   /// run_flow call. Off by default: the library stays silent and near-free.
@@ -125,8 +123,9 @@ class IncrementalView;
 FlowResult run_flow(const Network& input, const FlowParams& params = {});
 
 /// The logical half of run_flow: cleans \p input into `result.mapped`, runs
-/// the optimizer and T1 detection on it, and fills the pre-opt, opt and T1
-/// metrics and timings. A plan-tracking view over `result.mapped` is handed
+/// the optimizer and T1 detection on it (both priced through
+/// `params.cost()`), and fills the pre-opt, opt and T1 metrics and timings.
+/// A plan-tracking view over `result.mapped`, under that model, is handed
 /// back live in \p view, T1 on or off (with T1, the one detection
 /// maintained); it pins `result.mapped`, so \p result must stay put while
 /// the view lives. Throws like run_flow on a T1 flow with fewer than 4
@@ -135,9 +134,10 @@ void run_logical_flow(const Network& input, const FlowParams& params,
                       FlowResult& result, std::optional<IncrementalView>& view);
 
 /// The physical half of run_flow on `result.mapped`: phase assignment on
-/// \p view (a view over `result.mapped`, in sync with it), DFF insertion and
-/// the final metrics, then the physics oracle against \p golden when
-/// `physics_check` is on. Throws InfeasibleScheduleError /
+/// \p view (a plan-tracking view over `result.mapped`, in sync with it, built
+/// under the flow's model), DFF insertion and the final metrics — all priced
+/// and clocked through `view.model()` — then the physics oracle against
+/// \p golden when `physics_check` is on. Throws InfeasibleScheduleError /
 /// PhysicsViolationError like run_flow. `timings.total_ms` is left to the
 /// caller.
 void run_physical_flow(const Network& golden, const FlowParams& params,

@@ -241,9 +241,17 @@ Stage sched_t1_max_input_stage(const Network& net, const std::vector<Stage>& sta
 
 namespace {
 
+/// Coordinate-descent sweeps of the heuristic scheduler (it stops earlier at
+/// a fixed point).
+constexpr unsigned kMaxSweeps = 12;
+/// Branch-and-bound node budget of the exact engine; on exhaustion the
+/// heuristic assignment is kept.
+constexpr uint64_t kMilpMaxNodes = 20000;
+
 PhaseAssignment heuristic_assign(const IncrementalView& view,
                                  const PhaseAssignmentParams& params) {
   const Network& net = view.net();
+  const MultiphaseConfig& clk = view.model().clk();
   PhaseAssignment pa;
   // ASAP seed: the view's maintained stages (T1 taps already alias their
   // body, as the descent keeps them).
@@ -257,7 +265,7 @@ PhaseAssignment heuristic_assign(const IncrementalView& view,
   }
   out += params.output_slack;
   pa.output_stage = out;
-  pa.feasible = assignment_feasible(net, pa.stage, out, params.clk);
+  pa.feasible = assignment_feasible(net, pa.stage, out, clk);
   if (!pa.feasible) {
     pa.estimated_dffs = -1;
     return pa;
@@ -352,7 +360,7 @@ PhaseAssignment heuristic_assign(const IncrementalView& view,
   uint64_t nodes_skipped = 0;
   uint64_t moves_committed = 0;
   StageScope scope;
-  for (unsigned sweep = 0; sweep < params.max_sweeps; ++sweep) {
+  for (unsigned sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool changed = false;
     ++sweeps_run;
     for (const NodeId u : order) {
@@ -382,8 +390,8 @@ PhaseAssignment heuristic_assign(const IncrementalView& view,
   obs::count("sched.nodes_skipped", nodes_skipped);
   obs::count("sched.moves_committed", moves_committed);
 
-  assert(assignment_feasible(net, pa.stage, out, params.clk));
-  pa.estimated_dffs = plan_dffs(net, pa.stage, out, params.clk).total_dffs();
+  assert(assignment_feasible(net, pa.stage, out, clk));
+  pa.estimated_dffs = plan_dffs(net, pa.stage, out, clk).total_dffs();
   return pa;
 }
 
@@ -396,8 +404,9 @@ PhaseAssignment milp_assign(const IncrementalView& view,
     return seed;
   }
   const Network& net = view.net();
+  const MultiphaseConfig& clk = view.model().clk();
   const Stage out = seed.output_stage;
-  const Stage n = static_cast<Stage>(params.clk.phases);
+  const Stage n = static_cast<Stage>(clk.phases);
 
   LinearProgram lp;
   std::vector<int> var(net.size(), -1);
@@ -504,7 +513,7 @@ PhaseAssignment milp_assign(const IncrementalView& view,
   }
 
   MilpParams mp;
-  mp.max_nodes = params.milp_max_nodes;
+  mp.max_nodes = kMilpMaxNodes;
   const MilpSolution sol = solve_milp(lp, integer_vars, mp);
   if (sol.status != MilpStatus::Optimal) {
     return seed;  // fail soft: keep the heuristic assignment
@@ -524,11 +533,11 @@ PhaseAssignment milp_assign(const IncrementalView& view,
     }
   }
   pa.output_stage = out;
-  pa.feasible = assignment_feasible(net, pa.stage, out, params.clk);
+  pa.feasible = assignment_feasible(net, pa.stage, out, clk);
   if (!pa.feasible) {
     return seed;
   }
-  pa.estimated_dffs = plan_dffs(net, pa.stage, out, params.clk).total_dffs();
+  pa.estimated_dffs = plan_dffs(net, pa.stage, out, clk).total_dffs();
   // The MILP objective ignores dedicated landings; keep whichever assignment
   // is better under the exact cost model.
   return pa.estimated_dffs <= seed.estimated_dffs ? pa : seed;
@@ -536,16 +545,15 @@ PhaseAssignment milp_assign(const IncrementalView& view,
 
 }  // namespace
 
-PhaseAssignment assign_phases(const Network& net, const PhaseAssignmentParams& params) {
+PhaseAssignment assign_phases(const Network& net, const MultiphaseConfig& clk,
+                              const PhaseAssignmentParams& params) {
   Network copy = net;
-  const IncrementalView view(copy, CostModel(CellLibrary{}, AreaConfig{}, params.clk));
+  const IncrementalView view(copy, CostModel(CellLibrary{}, AreaConfig{}, clk));
   return assign_phases(view, params);
 }
 
 PhaseAssignment assign_phases(const IncrementalView& view,
                               const PhaseAssignmentParams& params) {
-  assert(view.model().clk().phases == params.clk.phases &&
-         "assign_phases: the view must price at the scheduled clocking");
   return params.engine == PhaseEngine::ExactMilp ? milp_assign(view, params)
                                                  : heuristic_assign(view, params);
 }

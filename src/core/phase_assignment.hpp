@@ -31,9 +31,9 @@
 ///     to validate the heuristic.
 ///
 /// Both engines run on an `IncrementalView` over the network (its ASAP
-/// stages, ALAP slack and consumer lists). The flow hands in the view its
-/// logical half maintained; `assign_phases(net, params)` builds one over a
-/// copy.
+/// stages, ALAP slack and consumer lists) and clock at its cost model's
+/// phase count. The flow hands in the view its logical half maintained;
+/// `assign_phases(net, clk, params)` builds one over a copy.
 
 #include <array>
 #include <cstdint>
@@ -47,11 +47,10 @@ namespace t1sfq {
 
 enum class PhaseEngine { Heuristic, ExactMilp };
 
+/// The clocking is not a setting here: it is the clocking of the view's cost
+/// model (or, without a view, an argument of `assign_phases`).
 struct PhaseAssignmentParams {
-  MultiphaseConfig clk{};
   PhaseEngine engine = PhaseEngine::Heuristic;
-  unsigned max_sweeps = 12;        ///< coordinate-descent passes
-  uint64_t milp_max_nodes = 20000; ///< branch-and-bound budget
   /// Extra stages granted to the balanced-output sink beyond the minimum
   /// (ASAP) depth. Trading latency for fewer balancing DFFs: with slack the
   /// scheduler may slide whole subgraphs later so spines shorten.
@@ -116,14 +115,15 @@ Stage sched_t1_max_input_stage(const Network& net, const std::vector<Stage>& sta
                                NodeId j, NodeId u);
 
 class IncrementalView;
-/// Schedules `view.net()`. The view must be in sync with its network and
-/// price at `params.clk` (its cost model's clocking); it is only read.
+/// Schedules `view.net()` at the clocking of `view.model()`. The view must be
+/// in sync with its network; it is only read.
 PhaseAssignment assign_phases(const IncrementalView& view,
-                              const PhaseAssignmentParams& params);
+                              const PhaseAssignmentParams& params = {});
 
 /// Convenience for callers without a view: builds one over a copy of \p net
-/// (Buf-free, like every view) and schedules it.
-PhaseAssignment assign_phases(const Network& net, const PhaseAssignmentParams& params);
+/// (Buf-free, like every view) that clocks at \p clk, and schedules it.
+PhaseAssignment assign_phases(const Network& net, const MultiphaseConfig& clk,
+                              const PhaseAssignmentParams& params = {});
 
 /// Validates eq.-3/edge constraints of an assignment (used by tests).
 bool assignment_feasible(const Network& net, const std::vector<Stage>& stage,

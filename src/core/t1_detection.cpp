@@ -548,14 +548,14 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
   }
   Network fallback_net;
   T1DetectionStats fallback_stats;
+  NetworkMeasure fallback;  // the counterfactual's final state, measured once
   if (counterfactual) {
     fallback_net = net;
     T1DetectionParams asap_only = params;
     asap_only.schedule_aware_guard = false;
     fallback_stats = detect_and_replace_t1(fallback_net, model, asap_only);
-    Stage out0 = 1;
-    asap_stages(fallback_net, &out0);
-    cycle_cap = model.clk().cycles(out0 - 1) + kGuardLatencyBudget;
+    fallback = model.measure_network(fallback_net);
+    cycle_cap = model.clk().cycles(fallback.depth) + kGuardLatencyBudget;
   } else if (guard_mode) {
     // guard_probe_max_gates exceeded: latency envelope from the maintained
     // depth bound, no probe run, no fallback comparison. Strictly tighter cap
@@ -589,13 +589,9 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
     net = net.cleanup();
   }
   if (counterfactual) {
-    Stage out_on = 1, out_off = 1;
-    asap_stages(net, &out_on);
-    asap_stages(fallback_net, &out_off);
-    const uint64_t est_on = model.network_breakdown(net).total();
-    const uint64_t est_off = model.network_breakdown(fallback_net).total();
-    if (est_on > est_off || model.clk().cycles(out_on - 1) >
-                                model.clk().cycles(out_off - 1)) {
+    const NetworkMeasure rescued = model.measure_network(net);
+    if (rescued.jj > fallback.jj ||
+        model.clk().cycles(rescued.depth) > model.clk().cycles(fallback.depth)) {
       net = std::move(fallback_net);
       stats = fallback_stats;  // the kept run's statistics, verbatim
       if (adopted) {
@@ -608,12 +604,6 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
     reuse_view->rebuild();  // detection could not adopt it; hand it back valid
   }
   return stats;
-}
-
-T1DetectionStats detect_and_replace_t1(Network& net, const CellLibrary& lib,
-                                       const T1DetectionParams& params) {
-  return detect_and_replace_t1(net, CostModel(lib, AreaConfig{}, MultiphaseConfig{4}),
-                               params);
 }
 
 }  // namespace t1sfq

@@ -40,7 +40,6 @@
 
 #include "cost/cost_model.hpp"
 #include "network/network.hpp"
-#include "sfq/cell_library.hpp"
 
 namespace t1sfq {
 
@@ -113,12 +112,5 @@ T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
 T1DetectionStats detect_and_replace_t1(Network& net, const CostModel& model,
                                        const T1DetectionParams& params,
                                        IncrementalView* reuse_view);
-
-/// Convenience overload for library-only callers (tests, examples): prices
-/// with default accounting and 4-phase clocking. Do not use from a flow with
-/// a different phase count — the DFF-aware terms and the commit gatekeeper
-/// would be evaluated at the wrong clocking.
-T1DetectionStats detect_and_replace_t1(Network& net, const CellLibrary& lib,
-                                       const T1DetectionParams& params = {});
 
 }  // namespace t1sfq

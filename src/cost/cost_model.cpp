@@ -39,49 +39,6 @@ uint64_t CostModel::signature() const {
   return h;
 }
 
-std::vector<Stage> asap_stages(const Network& net, Stage* output_stage_out) {
-  std::vector<Stage> stage(net.size(), 0);
-  for (const NodeId id : net.topo_order()) {
-    const Node& n = net.node(id);
-    switch (n.type) {
-      case GateType::Const0:
-      case GateType::Const1:
-      case GateType::Pi:
-        stage[id] = 0;
-        break;
-      case GateType::Buf:
-      case GateType::T1Port:
-        stage[id] = stage[n.fanin(0)];
-        break;
-      case GateType::T1: {
-        // Paper eq. 3: the three inputs need three distinct landing slots.
-        std::array<Stage, 3> s;
-        for (unsigned i = 0; i < 3; ++i) {
-          s[i] = stage[resolve_producer(net, n.fanin(i))];
-        }
-        std::sort(s.begin(), s.end());
-        stage[id] = std::max({s[0] + 3, s[1] + 2, s[2] + 1});
-        break;
-      }
-      default: {
-        Stage m = 0;
-        for (uint8_t i = 0; i < n.num_fanins; ++i) {
-          m = std::max(m, stage[resolve_producer(net, n.fanin(i))]);
-        }
-        stage[id] = m + 1;
-      }
-    }
-  }
-  Stage output_stage = 1;
-  for (const NodeId po : net.pos()) {
-    output_stage = std::max(output_stage, stage[resolve_producer(net, po)] + 1);
-  }
-  if (output_stage_out) {
-    *output_stage_out = output_stage;
-  }
-  return stage;
-}
-
 std::vector<uint32_t> splitter_fanouts(const Network& net) {
   std::vector<uint32_t> counts(net.size(), 0);
   for (NodeId id = 0; id < net.size(); ++id) {
@@ -122,9 +79,14 @@ JJBreakdown CostModel::network_breakdown(const Network& net, Stage* output_stage
     }
   }
   // Shared-spine estimate of the balancing DFFs an insertion would add, under
-  // legal ASAP stages (the objective the optimization layers minimize).
+  // legal ASAP stages (the objective the optimization layers minimize): the
+  // network's levels, with the balanced sink one past the deepest PO.
+  const std::vector<uint32_t> lvl = net.levels();
+  const std::vector<Stage> stage(lvl.begin(), lvl.end());
   Stage output_stage = 1;
-  const std::vector<Stage> stage = asap_stages(net, &output_stage);
+  for (const NodeId po : net.pos()) {
+    output_stage = std::max(output_stage, stage[po] + 1);
+  }
   const int64_t planned = plan_dffs(net, stage, output_stage, clk_).total_dffs();
   b.dff += static_cast<uint64_t>(planned) * lib_.jj_dff;
   clocked += static_cast<std::size_t>(planned);
@@ -136,6 +98,15 @@ JJBreakdown CostModel::network_breakdown(const Network& net, Stage* output_stage
     *planned_dffs_out = planned;
   }
   return b;
+}
+
+NetworkMeasure CostModel::measure_network(const Network& net) const {
+  NetworkMeasure m;
+  Stage out = 1;
+  m.jj = network_breakdown(net, &out, &m.plan_dffs).total();
+  m.gates = net.num_gates();
+  m.depth = static_cast<uint32_t>(out - 1);
+  return m;
 }
 
 JJBreakdown CostModel::physical_breakdown(const Network& physical_net,

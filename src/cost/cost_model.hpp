@@ -50,6 +50,15 @@ struct JJBreakdown {
   }
 };
 
+/// The figures of one logical network state the optimizer and the flow
+/// record (OptSummary, PassStats, FlowMetrics).
+struct NetworkMeasure {
+  std::size_t gates = 0;
+  uint32_t depth = 0;      ///< deepest PO level (the ASAP sink stage − 1)
+  int64_t plan_dffs = 0;   ///< shared-spine `plan_dffs` total on ASAP stages
+  uint64_t jj = 0;         ///< `network_breakdown(net).total()`
+};
+
 class CostModel {
 public:
   CostModel() = default;
@@ -93,6 +102,11 @@ public:
   JJBreakdown network_breakdown(const Network& net, Stage* output_stage_out = nullptr,
                                 int64_t* planned_dffs_out = nullptr) const;
 
+  /// One measurement of a network state — gates, depth, plan DFFs and JJ —
+  /// from a single `network_breakdown` call (one ASAP recurrence, one DFF
+  /// plan). Every stage that measures a network from scratch goes through it.
+  NetworkMeasure measure_network(const Network& net) const;
+
   /// Breakdown of a materialized physical netlist (DFFs are real nodes,
   /// splitters are counted by the inserter).
   JJBreakdown physical_breakdown(const Network& physical_net,
@@ -118,11 +132,5 @@ inline uint64_t fnv64_mix(uint64_t h, uint64_t v) {
 /// breakdown estimate and the physical inserter so the two can never
 /// disagree on what counts as a split.
 std::vector<uint32_t> splitter_fanouts(const Network& net);
-
-/// Legal ASAP stages of a logical network: stage(gate) = max(fanin stages)+1,
-/// T1 bodies obey eq. 3 (three distinct landing slots), T1 ports and buffers
-/// alias their producer. Returns the per-node stages; \p output_stage_out (if
-/// non-null) receives the balanced-sink stage (max PO stage + 1).
-std::vector<Stage> asap_stages(const Network& net, Stage* output_stage_out = nullptr);
 
 }  // namespace t1sfq

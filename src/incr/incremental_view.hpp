@@ -29,7 +29,7 @@
 /// against from-scratch recomputation.
 ///
 /// Views maintained (identical to their from-scratch counterparts):
-///   * `stage(id)`       == `asap_stages(net)[id]` == `net.levels()[id]`,
+///   * `stage(id)`       == `net.levels()[id]` (eq.-3-aware ASAP stages),
 ///   * `fanout(id)`      == `net.fanout_counts()[id]`,
 ///   * `consumers(id)`   == `net.fanout_lists()[id]` (as a multiset),
 ///   * `output_stage()`  == max live PO stage + 1,

@@ -105,11 +105,10 @@ TreePlan combine_tree(Family family, bool use_ternary, const CostModel& model,
 }  // namespace
 
 std::size_t BalancingPass::run(Network& net) {
-  const CostModel model = params_.cost();
   // Levels, fanouts and consumer lists all come from the incremental view;
   // commits keep them fresh at affected-cone cost (previously three full
   // recomputes per commit).
-  IncrementalView view(net, model);
+  IncrementalView view(net, model_);
   view.set_full_recompute(!params_.incremental);
   std::size_t applied = 0;
 
@@ -132,7 +131,7 @@ std::size_t BalancingPass::run(Network& net) {
       const NodeId id = stack.back();
       stack.pop_back();
       const Node& n = net.node(id);
-      old_jj += static_cast<uint64_t>(model.cell_jj(n.type));
+      old_jj += static_cast<uint64_t>(model_.cell_jj(n.type));
       for (uint8_t i = 0; i < n.num_fanins; ++i) {
         const NodeId f = n.fanin(i);
         if (family_of(net.node(f).type) == family && view.fanout(f) == 1) {
@@ -185,7 +184,7 @@ std::size_t BalancingPass::run(Network& net) {
           const NodeId op = mask == 2u ? net.add_not(base) : base;
           if (net.size() > nodes_before) {
             view.sync();
-            extra_jj += static_cast<uint64_t>(model.cell_jj(GateType::Not));
+            extra_jj += static_cast<uint64_t>(model_.cell_jj(GateType::Not));
           }
           kept.push_back({view.level(op), op});
         }
@@ -204,11 +203,11 @@ std::size_t BalancingPass::run(Network& net) {
       new_level = view.level(new_root);
     } else {
       const uint64_t jj_not =
-          invert_output ? static_cast<uint64_t>(model.cell_jj(GateType::Not)) : 0;
+          invert_output ? static_cast<uint64_t>(model_.cell_jj(GateType::Not)) : 0;
       const TreePlan ternary =
-          combine_tree(family, true, model, kept, nullptr, nullptr);
+          combine_tree(family, true, model_, kept, nullptr, nullptr);
       const TreePlan binary =
-          combine_tree(family, false, model, kept, nullptr, nullptr);
+          combine_tree(family, false, model_, kept, nullptr, nullptr);
       const bool pick_ternary = ternary.level < binary.level ||
                                 (ternary.level == binary.level && ternary.jj <= binary.jj);
       const TreePlan& plan = pick_ternary ? ternary : binary;
@@ -221,7 +220,7 @@ std::size_t BalancingPass::run(Network& net) {
         view.kill_dangling_from(size_before);  // retract cleanup inverters
         continue;
       }
-      combine_tree(family, pick_ternary, model, kept, &view, &new_root);
+      combine_tree(family, pick_ternary, model_, kept, &view, &new_root);
       if (invert_output) {
         new_root = net.add_not(new_root);
       }

@@ -10,25 +10,35 @@
 
 namespace t1sfq {
 
+namespace {
+
+/// Rewriting cut width: the precomputed structure database covers every
+/// 4-input function, so a wider cut would need a different database.
+constexpr unsigned kCutSize = 4;
+/// Priority cuts kept per node.
+constexpr unsigned kMaxCuts = 12;
+
+}  // namespace
+
 std::size_t CutRewritingPass::run(Network& net) {
   RewriteDb::Params dbp;
-  dbp.lib = params_.lib;
-  dbp.clock_jj = params_.area.clock_jj_per_clocked;
+  dbp.lib = model_.lib();
+  dbp.clock_jj = model_.area().clock_jj_per_clocked;
   // Rank structures with the same lambda the commit criterion below uses, so
   // the database and the pass agree on what a level of depth is worth.
-  dbp.depth_penalty_jj = static_cast<unsigned>(params_.cost().dff_jj());
+  dbp.depth_penalty_jj = static_cast<unsigned>(model_.dff_jj());
   const RewriteDb& db = RewriteDb::instance(dbp);
 
   CutEnumerationParams cp;
-  cp.cut_size = std::min(params_.cut_size, 4u);
-  cp.max_cuts = params_.max_cuts;
+  cp.cut_size = kCutSize;
+  cp.max_cuts = kMaxCuts;
   cp.compute_functions = true;
   const std::vector<CutSet> cuts = enumerate_cuts(net, cp);
 
   // All analysis state lives in the incremental view: commits land through
   // `view.replace` and only the affected cone is re-derived (the legacy flag
   // services every commit with a full rebuild instead).
-  IncrementalView view(net, params_.cost());
+  IncrementalView view(net, model_);
   view.set_full_recompute(!params_.incremental);
   CostDelta cd(view);
   // Roots committed earlier in this sweep become dangling; cuts of downstream

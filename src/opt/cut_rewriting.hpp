@@ -3,7 +3,7 @@
 /// \brief Cut rewriting: replace cut MFFCs with cheaper database structures.
 ///
 /// For every rewritable node the pass enumerates priority k-cuts
-/// (cut_enumeration.hpp, k = OptParams::cut_size), matches each cut function
+/// (cut_enumeration.hpp, k = 4), matches each cut function
 /// against the precomputed structure database (rewrite_db.hpp — exact table
 /// lookup with an NPN-class fallback via npn.hpp), and prices a replacement
 /// in the unified JJ currency (cost/cost_delta.hpp):

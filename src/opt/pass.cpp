@@ -1,8 +1,5 @@
 #include "opt/pass.hpp"
 
-#include <algorithm>
-
-#include "core/phase_assignment.hpp"
 #include "network/equivalence.hpp"
 #include "obs/trace.hpp"
 #include "opt/balancing.hpp"
@@ -31,64 +28,11 @@ bool is_opt_gate(GateType type) {
   }
 }
 
-int64_t estimate_plan_dffs(const Network& net, const MultiphaseConfig& clk) {
-  const auto lvl = net.levels();
-  std::vector<Stage> stage(lvl.size(), 0);
-  Stage max_po = 0;
-  for (NodeId id = 0; id < net.size(); ++id) {
-    stage[id] = static_cast<Stage>(lvl[id]);
-  }
-  for (const NodeId po : net.pos()) {
-    max_po = std::max(max_po, stage[po]);
-  }
-  return plan_dffs(net, stage, max_po + 1, clk).total_dffs();
-}
-
-namespace {
-
-/// One measurement of a network state — the figures PassStats and
-/// OptSummary record around a pass — from a single ASAP recurrence and DFF
-/// plan (the unified estimate's own).
-struct NetworkMeasure {
-  std::size_t gates = 0;
-  uint32_t depth = 0;
-  int64_t plan_dffs = 0;  ///< == estimate_plan_dffs(net, model.clk())
-  uint64_t jj = 0;        ///< == model.network_breakdown(net).total()
-};
-
-NetworkMeasure measure_network(const Network& net, const CostModel& model) {
-  NetworkMeasure m;
-  Stage out = 1;
-  m.jj = model.network_breakdown(net, &out, &m.plan_dffs).total();
-  m.gates = net.num_gates();
-  m.depth = static_cast<uint32_t>(out - 1);  // the sink sits one past the deepest PO
-  return m;
-}
-
-template <class Stats>
-void record_before(Stats& s, const NetworkMeasure& m) {
-  s.gates_before = m.gates;
-  s.depth_before = m.depth;
-  s.plan_dffs_before = m.plan_dffs;
-  s.jj_before = m.jj;
-}
-
-template <class Stats>
-void record_after(Stats& s, const NetworkMeasure& m) {
-  s.gates_after = m.gates;
-  s.depth_after = m.depth;
-  s.plan_dffs_after = m.plan_dffs;
-  s.jj_after = m.jj;
-}
-
-}  // namespace
-
 OptSummary PassManager::run(Network& net) {
-  const CostModel model = params_.cost();
   OptSummary summary;
   // Pass k's after-network is pass k+1's before-network: N passes visit N+1
   // states, each measured once.
-  NetworkMeasure state = measure_network(net, model);
+  NetworkMeasure state = model_.measure_network(net);
   record_before(summary, state);
 
   for (unsigned round = 0; round < params_.rounds; ++round) {
@@ -132,7 +76,7 @@ OptSummary PassManager::run(Network& net) {
         obs::count("opt.pass.runs");
       }
 
-      state = measure_network(net, model);
+      state = model_.measure_network(net);
       record_after(ps, state);
       round_applied += ps.applied;
       summary.passes.push_back(std::move(ps));
@@ -149,33 +93,33 @@ OptSummary PassManager::run(Network& net) {
   return summary;
 }
 
-PassManager PassManager::standard(const OptParams& params) {
-  PassManager manager(params);
+PassManager PassManager::standard(const CostModel& model, const OptParams& params) {
+  PassManager manager(model, params);
   if (params.cut_rewriting) {
-    manager.add(std::make_unique<CutRewritingPass>(params));
+    manager.add(std::make_unique<CutRewritingPass>(model, params));
   }
   if (params.balancing) {
-    manager.add(std::make_unique<BalancingPass>(params));
+    manager.add(std::make_unique<BalancingPass>(model, params));
   }
   if (params.resubstitution) {
-    manager.add(std::make_unique<ResubstitutionPass>(params));
+    manager.add(std::make_unique<ResubstitutionPass>(model, params));
   }
   return manager;
 }
 
-OptSummary optimize(Network& net, const OptParams& params) {
+OptSummary optimize(Network& net, const CostModel& model, const OptParams& params) {
   if (!params.enable || net.num_gates() == 0) {
+    const NetworkMeasure m = model.measure_network(net);
     OptSummary summary;
-    summary.gates_before = summary.gates_after = net.num_gates();
-    summary.depth_before = summary.depth_after = net.depth();
-    summary.jj_before = summary.jj_after = params.cost().network_breakdown(net).total();
+    summary.gates_before = summary.gates_after = m.gates;
+    summary.depth_before = summary.depth_after = m.depth;
+    summary.jj_before = summary.jj_after = m.jj;
     return summary;
   }
   if (params.partition_jobs > 0) {
-    return part::optimize_partitioned(net, params);
+    return part::optimize_partitioned(net, model, params);
   }
-  PassManager manager = PassManager::standard(params);
-  return manager.run(net);
+  return PassManager::standard(model, params).run(net);
 }
 
 }  // namespace t1sfq

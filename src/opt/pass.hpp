@@ -28,8 +28,6 @@
 
 #include "cost/cost_model.hpp"
 #include "network/network.hpp"
-#include "sfq/cell_library.hpp"
-#include "sfq/clocking.hpp"
 
 namespace t1sfq {
 
@@ -39,10 +37,6 @@ struct OptParams {
   bool balancing = true;
   bool resubstitution = true;
   unsigned rounds = 3;           ///< pipeline repetitions (stops when converged)
-  unsigned cut_size = 4;         ///< rewriting cut width
-  unsigned max_cuts = 12;        ///< priority cuts kept per node
-  unsigned sim_words = 8;        ///< resub signature words (64 patterns each)
-  uint64_t sat_conflict_budget = 20000;  ///< per resubstitution proof
   bool verify = true;            ///< pass-level equivalence guard (revert on failure)
   /// Maintain analysis state (fanouts, levels, consumer lists, spines)
   /// incrementally through `IncrementalView` as commits land — update cost
@@ -54,13 +48,6 @@ struct OptParams {
   /// simulation always runs in full, so a budget-out can only ever keep a
   /// change whose transforms were already individually proven.
   uint64_t verify_conflict_budget = 100000;
-  /// Slack-aware resubstitution donor pricing: the donor-side pin is priced
-  /// at the latest stage its slack window (the view's delta-maintained ALAP)
-  /// lets the phase-assignment sweeps slide it to, capped at the target's
-  /// level. Donors that fit the target's slack window thus avoid phantom DFF
-  /// charges for the rerouted consumers — charges the scheduler would have
-  /// slid away anyway. false prices every donor at its ASAP stage.
-  bool slack_aware_resub = true;
   /// Partition-parallel engine (src/part/shard_runner.hpp): number of worker
   /// threads optimizing fanout-bounded regions concurrently. 0 = today's
   /// sequential pipeline (bit-identical default); any N >= 1 runs the
@@ -71,15 +58,6 @@ struct OptParams {
   /// Below this many gates the partitioned engine falls back to the
   /// sequential pipeline (shard overhead dominates).
   std::size_t partition_min_gates = 4000;
-  /// Run the boundary-stitching round (re-partition with offset seams and
-  /// re-optimize the regions holding surviving frozen-boundary roots).
-  bool partition_stitch = true;
-  MultiphaseConfig clk{4};       ///< clocking for the DFF-aware cost model
-  CellLibrary lib{};             ///< area model for gain accounting
-  AreaConfig area{};             ///< accounting switches (clock share per cell)
-
-  /// The unified JJ cost model every pass prices decisions through.
-  CostModel cost() const { return CostModel(lib, area, clk); }
 };
 
 enum class PassVerdict {
@@ -111,28 +89,53 @@ struct OptSummary {
   std::size_t total_applied = 0;
 };
 
+/// Copies one measured network state into the before fields of a PassStats
+/// or OptSummary.
+template <class Stats>
+void record_before(Stats& s, const NetworkMeasure& m) {
+  s.gates_before = m.gates;
+  s.depth_before = m.depth;
+  s.plan_dffs_before = m.plan_dffs;
+  s.jj_before = m.jj;
+}
+
+/// Copies one measured network state into the after fields of a PassStats
+/// or OptSummary.
+template <class Stats>
+void record_after(Stats& s, const NetworkMeasure& m) {
+  s.gates_after = m.gates;
+  s.depth_after = m.depth;
+  s.plan_dffs_after = m.plan_dffs;
+  s.jj_after = m.jj;
+}
+
 /// A network-to-network transform. Implementations mutate the network in
 /// place (dangling cones are swept by the manager) and must preserve the
 /// combinational function of every primary output. Passes never increase the
 /// network depth: every local commit is constrained to a root level at most
-/// the level it replaces.
+/// the level it replaces. Every decision is priced through \p model, the
+/// flow's unified JJ cost model.
 class Pass {
 public:
-  explicit Pass(const OptParams& params) : params_(params) {}
+  Pass(const CostModel& model, const OptParams& params)
+      : model_(model), params_(params) {}
   virtual ~Pass() = default;
   virtual const char* name() const = 0;
   /// Runs the pass; returns the number of transforms committed.
   virtual std::size_t run(Network& net) = 0;
 
 protected:
+  CostModel model_;
   OptParams params_;
 };
 
 class PassManager {
 public:
-  explicit PassManager(OptParams params) : params_(std::move(params)) {}
+  PassManager(const CostModel& model, OptParams params)
+      : model_(model), params_(std::move(params)) {}
 
   void add(std::unique_ptr<Pass> pass) { passes_.push_back(std::move(pass)); }
+  const CostModel& model() const { return model_; }
   const OptParams& params() const { return params_; }
   std::size_t num_passes() const { return passes_.size(); }
 
@@ -141,24 +144,22 @@ public:
   OptSummary run(Network& net);
 
   /// rewriting -> balancing -> resubstitution, honoring the per-pass toggles.
-  static PassManager standard(const OptParams& params = {});
+  static PassManager standard(const CostModel& model, const OptParams& params = {});
 
 private:
+  CostModel model_;
   OptParams params_;
   std::vector<std::unique_ptr<Pass>> passes_;
 };
 
-/// Convenience: standard pipeline on \p net. No-op when `params.enable` is
-/// false or the network contains nothing to optimize.
-OptSummary optimize(Network& net, const OptParams& params = {});
+/// Convenience: standard pipeline on \p net, priced through \p model (pass
+/// the flow's own model so the optimizer prices at the flow's library and
+/// phase count). No-op when `params.enable` is false or the network contains
+/// nothing to optimize.
+OptSummary optimize(Network& net, const CostModel& model, const OptParams& params = {});
 
 /// True for the plain clocked logic cells the optimizer may restructure
 /// (excludes PIs/constants, wiring cells, DFFs and committed T1 regions).
 bool is_opt_gate(GateType type);
-
-/// Shared-spine DFF estimate of a network under ASAP stages (stage = level):
-/// the `plan_dffs` cost model of phase_assignment.hpp applied pre-mapping.
-/// This is the objective the DFF-aware passes optimize against.
-int64_t estimate_plan_dffs(const Network& net, const MultiphaseConfig& clk);
 
 }  // namespace t1sfq

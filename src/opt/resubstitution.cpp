@@ -25,6 +25,11 @@ uint64_t sig_hash(const uint64_t* words, unsigned count, bool invert) {
   return h;
 }
 
+/// Signature words per node (64 random patterns each).
+constexpr unsigned kSimWords = 8;
+/// SAT conflict budget of one resubstitution proof.
+constexpr uint64_t kSatConflictBudget = 20000;
+
 bool sig_equal(const uint64_t* a, const uint64_t* b, unsigned count, bool invert) {
   for (unsigned i = 0; i < count; ++i) {
     if (a[i] != (invert ? ~b[i] : b[i])) {
@@ -44,18 +49,17 @@ std::size_t ResubstitutionPass::run(Network& net) {
   // Unified JJ pricing: gate bodies + clock shares + splitters + the
   // shared-spine DFF model, all through the incremental evaluator. Commits
   // land through the view; no O(n) refresh per commit.
-  IncrementalView view(net, params_.cost());
+  IncrementalView view(net, model_);
   view.set_full_recompute(!params_.incremental);
   CostDelta cd(view);
 
-  // Word-parallel signatures: `words` 64-bit words per node. The first word
+  // Word-parallel signatures: kSimWords 64-bit words per node. The first word
   // pins the all-zero and all-one patterns into bits 0/1 so stuck-at signals
   // collide with the constants immediately.
-  const unsigned words = std::max(1u, params_.sim_words);
-  std::vector<uint64_t> sig(n0 * words);
+  std::vector<uint64_t> sig(n0 * kSimWords);
   {
     std::mt19937_64 rng(0x5eedf00dULL);
-    for (unsigned w = 0; w < words; ++w) {
+    for (unsigned w = 0; w < kSimWords; ++w) {
       std::vector<uint64_t> pi_words(net.num_pis());
       for (auto& word : pi_words) {
         word = rng();
@@ -65,7 +69,7 @@ std::size_t ResubstitutionPass::run(Network& net) {
       }
       const std::vector<uint64_t> values = simulate_all_words(net, pi_words);
       for (std::size_t id = 0; id < n0; ++id) {
-        sig[id * words + w] = values[id];
+        sig[id * kSimWords + w] = values[id];
       }
     }
   }
@@ -95,7 +99,7 @@ std::size_t ResubstitutionPass::run(Network& net) {
     solver.add_clause({negate(diff), negate(la), negate(lb)});
     solver.add_clause({diff, negate(la), lb});
     solver.add_clause({diff, la, negate(lb)});
-    return solver.solve({diff}, params_.sat_conflict_budget) == SatResult::Unsat;
+    return solver.solve({diff}, kSatConflictBudget) == SatResult::Unsat;
   };
 
   std::vector<char> alive(n0, 1);
@@ -116,7 +120,7 @@ std::size_t ResubstitutionPass::run(Network& net) {
         int64_t cost_delta;  // JJ; negative is an improvement
       };
       std::vector<Candidate> candidates;
-      const uint64_t* tsig = &sig[static_cast<std::size_t>(target) * words];
+      const uint64_t* tsig = &sig[static_cast<std::size_t>(target) * kSimWords];
 
       // The dying cone depends only on the target: compute it once.
       const std::vector<NodeId> dying = mffc(net, target, cd.fanouts());
@@ -133,11 +137,12 @@ std::size_t ResubstitutionPass::run(Network& net) {
 
       for (const bool invert : {false, true}) {
         if (!cone_clean) break;
-        const auto it = index.find(sig_hash(tsig, words, invert));
+        const auto it = index.find(sig_hash(tsig, kSimWords, invert));
         if (it == index.end()) continue;
         for (const NodeId donor : it->second) {
           if (!alive[donor] || donor == target) continue;
-          if (!sig_equal(tsig, &sig[static_cast<std::size_t>(donor) * words], words, invert)) {
+          if (!sig_equal(tsig, &sig[static_cast<std::size_t>(donor) * kSimWords], kSimWords,
+                         invert)) {
             continue;
           }
           const bool have_not = invert && not_of.count(donor) > 0;
@@ -160,23 +165,21 @@ std::size_t ResubstitutionPass::run(Network& net) {
           // target level was enforced above).
           const NodeId existing = have_not ? not_of[donor] : kNullNode;
           int64_t cost_delta = cd.resub_delta(target, dying, donor, invert, existing);
-          if (params_.slack_aware_resub) {
-            const Stage target_lvl = static_cast<Stage>(cd.level(target));
-            Stage pin_at, baseline;
-            if (invert && !have_not) {
-              pin_at = target_lvl;
-              baseline = view.stage(donor) + 1;
-            } else {
-              const NodeId pin = have_not ? not_of[donor] : donor;
-              pin_at = std::max<Stage>(view.stage(pin),
-                                       std::min(view.alap(pin), target_lvl));
-              baseline = view.stage(pin);
-            }
-            if (pin_at != baseline) {  // zero slide reprices identically
-              cost_delta = std::min(
-                  cost_delta,
-                  cd.resub_delta(target, dying, donor, invert, existing, pin_at));
-            }
+          const Stage target_lvl = static_cast<Stage>(cd.level(target));
+          Stage pin_at, baseline;
+          if (invert && !have_not) {
+            pin_at = target_lvl;
+            baseline = view.stage(donor) + 1;
+          } else {
+            const NodeId pin = have_not ? not_of[donor] : donor;
+            pin_at = std::max<Stage>(view.stage(pin),
+                                     std::min(view.alap(pin), target_lvl));
+            baseline = view.stage(pin);
+          }
+          if (pin_at != baseline) {  // zero slide reprices identically
+            cost_delta = std::min(
+                cost_delta,
+                cd.resub_delta(target, dying, donor, invert, existing, pin_at));
           }
           if (cost_delta >= 0) continue;
           candidates.push_back({donor, invert, cost_delta});
@@ -218,8 +221,8 @@ std::size_t ResubstitutionPass::run(Network& net) {
     }
 
     if (alive[target] && donor_type) {
-      const uint64_t* dsig = &sig[static_cast<std::size_t>(target) * words];
-      index[sig_hash(dsig, words, false)].push_back(target);
+      const uint64_t* dsig = &sig[static_cast<std::size_t>(target) * kSimWords];
+      index[sig_hash(dsig, kSimWords, false)].push_back(target);
     }
   }
 

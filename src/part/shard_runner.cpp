@@ -67,10 +67,10 @@ Shard extract_region(const Network& net, const Region& region) {
 
 /// The concurrent part: extract, optimize with the sequential pipeline, and
 /// prove the shard commit against the pre-optimization sub-network. Pure
-/// function of (net, region, params) — reads the parent network only, so any
-/// thread may run it.
-void run_shard(const Network& net, const Region& region, const OptParams& params,
-               unsigned rounds, ShardWork& out) {
+/// function of (net, region, model, params) — reads the parent network only,
+/// so any thread may run it.
+void run_shard(const Network& net, const Region& region, const CostModel& model,
+               const OptParams& params, unsigned rounds, ShardWork& out) {
   out.out_parents = region.outputs;
   Shard s = extract_region(net, region);
   const Network before = s.sub;
@@ -78,7 +78,7 @@ void run_shard(const Network& net, const Region& region, const OptParams& params
   OptParams sp = params;
   sp.partition_jobs = 0;  // shards always run the sequential pipeline
   sp.rounds = rounds;
-  const OptSummary ss = optimize(s.sub, sp);
+  const OptSummary ss = optimize(s.sub, model, sp);
   out.applied = ss.total_applied;
 
   if (out.applied > 0) {
@@ -163,8 +163,8 @@ std::pair<std::size_t, std::size_t> run_phase(
     if (!selected[i] || partition.regions[i].outputs.empty()) {
       continue;
     }
-    jobs.push_back([&net, &partition, &work, &params, i, rounds](std::ostream&) {
-      run_shard(net, partition.regions[i], params, rounds, work[i]);
+    jobs.push_back([&net, &partition, &work, &model, &params, i, rounds](std::ostream&) {
+      run_shard(net, partition.regions[i], model, params, rounds, work[i]);
     });
   }
   {
@@ -216,26 +216,21 @@ void flush_counters(const PartitionOptStats& st) {
 
 }  // namespace
 
-OptSummary optimize_partitioned(Network& net, const OptParams& params,
-                                PartitionOptStats* stats_out) {
+OptSummary optimize_partitioned(Network& net, const CostModel& model,
+                                const OptParams& params, PartitionOptStats* stats_out) {
   obs::Span span("opt.partitioned");
-  OptSummary summary;
-  summary.gates_before = net.num_gates();
-  summary.depth_before = net.depth();
-  summary.plan_dffs_before = estimate_plan_dffs(net, params.clk);
-  const CostModel model = params.cost();
-  summary.jj_before = model.network_breakdown(net).total();
-
   const auto fall_back = [&](Network& n) {
     obs::count("part.fallback_sequential");
     OptParams seq = params;
     seq.partition_jobs = 0;
-    return PassManager::standard(seq).run(n);
+    return PassManager::standard(model, seq).run(n);
   };
 
   if (net.num_gates() < params.partition_min_gates) {
     return fall_back(net);
   }
+  OptSummary summary;
+  record_before(summary, model.measure_network(net));
 
   // Settle the network so regions never hold sweepable junk.
   net.sweep_dangling();
@@ -292,55 +287,50 @@ OptSummary optimize_partitioned(Network& net, const OptParams& params,
   shard_ps.depth_after = net.depth();
   summary.passes.push_back(std::move(shard_ps));
 
-  if (params.partition_stitch) {
-    std::vector<char> frontier(net.size(), 0);
-    bool any = false;
-    for (NodeId old = 0; old < remap.size(); ++old) {
-      if (was_seam[old] && remap[old] != kNullNode) {
-        frontier[remap[old]] = 1;
-        any = true;
-      }
-    }
-    if (any) {
-      // Small offset regions: each selected stitch shard is a narrow window
-      // straddling one of the main phase's seams, so the round costs
-      // O(seams * window), not a second pass over the whole network.
-      PartitionParams sp;
-      sp.max_region = std::max<std::size_t>(64, params.partition_max_region / 8);
-      sp.first_region_cap = std::max<std::size_t>(1, sp.max_region / 2);
-      const Partition stitch = partition_network(net, sp);
-      std::vector<char> selected(stitch.regions.size(), 0);
-      for (std::size_t i = 0; i < stitch.regions.size(); ++i) {
-        for (const NodeId m : stitch.regions[i].members) {
-          if (frontier[m]) {
-            selected[i] = 1;
-            st.stitch_regions++;
-            break;
-          }
-        }
-      }
-      PassStats stitch_ps;
-      stitch_ps.name = "partition-stitch";
-      stitch_ps.gates_before = net.num_gates();
-      stitch_ps.depth_before = net.depth();
-      const auto [smerged, sapplied] =
-          run_phase(net, model, stitch, selected, /*rounds=*/1, params, st,
-                    st.stitch_replaced_roots);
-      (void)smerged;
-      summary.total_applied += sapplied;
-      net.sweep_dangling();
-      net = net.cleanup();
-      stitch_ps.applied = sapplied;
-      stitch_ps.gates_after = net.num_gates();
-      stitch_ps.depth_after = net.depth();
-      summary.passes.push_back(std::move(stitch_ps));
+  std::vector<char> frontier(net.size(), 0);
+  bool any = false;
+  for (NodeId old = 0; old < remap.size(); ++old) {
+    if (was_seam[old] && remap[old] != kNullNode) {
+      frontier[remap[old]] = 1;
+      any = true;
     }
   }
+  if (any) {
+    // Small offset regions: each selected stitch shard is a narrow window
+    // straddling one of the main phase's seams, so the round costs
+    // O(seams * window), not a second pass over the whole network.
+    PartitionParams sp;
+    sp.max_region = std::max<std::size_t>(64, params.partition_max_region / 8);
+    sp.first_region_cap = std::max<std::size_t>(1, sp.max_region / 2);
+    const Partition stitch = partition_network(net, sp);
+    std::vector<char> selected(stitch.regions.size(), 0);
+    for (std::size_t i = 0; i < stitch.regions.size(); ++i) {
+      for (const NodeId m : stitch.regions[i].members) {
+        if (frontier[m]) {
+          selected[i] = 1;
+          st.stitch_regions++;
+          break;
+        }
+      }
+    }
+    PassStats stitch_ps;
+    stitch_ps.name = "partition-stitch";
+    stitch_ps.gates_before = net.num_gates();
+    stitch_ps.depth_before = net.depth();
+    const auto [smerged, sapplied] =
+        run_phase(net, model, stitch, selected, /*rounds=*/1, params, st,
+                  st.stitch_replaced_roots);
+    (void)smerged;
+    summary.total_applied += sapplied;
+    net.sweep_dangling();
+    net = net.cleanup();
+    stitch_ps.applied = sapplied;
+    stitch_ps.gates_after = net.num_gates();
+    stitch_ps.depth_after = net.depth();
+    summary.passes.push_back(std::move(stitch_ps));
+  }
 
-  summary.gates_after = net.num_gates();
-  summary.depth_after = net.depth();
-  summary.plan_dffs_after = estimate_plan_dffs(net, params.clk);
-  summary.jj_after = model.network_breakdown(net).total();
+  record_after(summary, model.measure_network(net));
 
   flush_counters(st);
   if (stats_out != nullptr) {

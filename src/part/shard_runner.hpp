@@ -23,10 +23,10 @@
 /// `partition_jobs=N` produces byte-identical results for every N >= 1
 /// (pinned by tests/part_test.cpp).
 ///
-/// After the merge a *stitch* round re-partitions the compacted network with
-/// the slice boundaries offset by half a region, and re-optimizes only the
-/// regions that contain a surviving former-boundary node — the gates the
-/// first round froze.
+/// After the merge a *stitch* round always re-partitions the compacted
+/// network with the slice boundaries offset by half a region, and
+/// re-optimizes only the regions that contain a surviving former-boundary
+/// node — the gates the first round froze.
 
 #include <cstddef>
 
@@ -50,11 +50,12 @@ struct PartitionOptStats {
   std::size_t stitch_replaced_roots = 0;
 };
 
-/// Partition-parallel standard pipeline on \p net; the engine behind
-/// `optimize()` when `params.partition_jobs > 0`. Falls back to the
-/// sequential `PassManager` when the network is below
+/// Partition-parallel standard pipeline on \p net, every shard priced through
+/// \p model; the engine behind `optimize()` when `params.partition_jobs > 0`.
+/// Falls back to the sequential `PassManager` when the network is below
 /// `params.partition_min_gates` or yields fewer than two regions.
-OptSummary optimize_partitioned(Network& net, const OptParams& params,
+OptSummary optimize_partitioned(Network& net, const CostModel& model,
+                                const OptParams& params,
                                 PartitionOptStats* stats_out = nullptr);
 
 }  // namespace part

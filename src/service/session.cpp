@@ -226,9 +226,10 @@ void EcoSession::apply_eco_(const NetDiff& d, Network& clean, FlowResponse& resp
   // The patch stands in for run_flow's logical half: the input metrics are
   // the edited network's (eco sessions run with opt off), the T1 counts stay
   // the committed detection's.
-  res.metrics.pre_opt_gates = clean.num_gates();
-  res.metrics.pre_opt_depth = clean.depth();
-  res.metrics.pre_opt_area_jj = view.model().network_breakdown(clean).total();
+  const NetworkMeasure pre = view.model().measure_network(clean);
+  res.metrics.pre_opt_gates = pre.gates;
+  res.metrics.pre_opt_depth = pre.depth;
+  res.metrics.pre_opt_area_jj = pre.jj;
   res.metrics.opt_gates = res.metrics.pre_opt_gates;
   res.metrics.opt_depth = res.metrics.pre_opt_depth;
   res.metrics.opt_area_jj = res.metrics.pre_opt_area_jj;

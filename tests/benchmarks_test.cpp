@@ -6,7 +6,10 @@
 
 #include <cmath>
 #include <random>
+#include <string>
+#include <vector>
 
+#include "benchmarks/argparse.hpp"
 #include "benchmarks/arith.hpp"
 #include "network/simulation.hpp"
 
@@ -180,6 +183,108 @@ TEST(Benchmarks, SquareSharesPartialProducts) {
   const Network mult = bench::epfl_multiplier(8);
   EXPECT_LT(sq.count_of(GateType::And2) + 2 * sq.num_pis(),
             mult.count_of(GateType::And2) + mult.num_pis());
+}
+
+// ---------------------------------------------------------------------------
+// ArgParser
+// ---------------------------------------------------------------------------
+
+/// Runs \p parser over \p args, with a program name prepended.
+bool parse(const bench::ArgParser& parser, std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& a : args) {
+    argv.push_back(a.data());
+  }
+  return parser.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+/// Like parse(), but expects a failure that prints the usage to stderr.
+void expect_rejected(const bench::ArgParser& parser, std::vector<std::string> args) {
+  testing::internal::CaptureStderr();
+  const bool ok = parse(parser, args);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(ok) << args.front();
+  EXPECT_NE(err.find("usage: prog"), std::string::npos) << err;
+}
+
+TEST(ArgParser, RejectsMalformedNumbersAndTrailingGarbage) {
+  unsigned u = 7;
+  uint64_t u64 = 7;
+  std::size_t size = 7;
+  double d = 0.5;
+  bench::ArgParser parser("prog");
+  parser.uint_opt("--u", &u, "N", "")
+      .u64_opt("--u64", &u64, "N", "")
+      .size_opt("--size", &size, "N", "")
+      .double_opt("--d", &d, "F", "");
+  for (const char* flag : {"--u", "--u64", "--size", "--d"}) {
+    for (const char* bad : {"abc", "0.x", "12k"}) {
+      expect_rejected(parser, {flag, bad});
+    }
+  }
+  // A count never wraps a minus sign around, nor truncates past its range.
+  for (const char* flag : {"--u", "--u64", "--size"}) {
+    expect_rejected(parser, {flag, "-1"});
+  }
+  expect_rejected(parser, {"--u", "4294967296"});
+  // A rejected value leaves its target untouched.
+  EXPECT_EQ(u, 7u);
+  EXPECT_EQ(u64, 7u);
+  EXPECT_EQ(size, 7u);
+  EXPECT_EQ(d, 0.5);
+
+  ASSERT_TRUE(parse(parser, {"--u", "12", "--u64", "13", "--size", "14", "--d", "-0.25"}));
+  EXPECT_EQ(u, 12u);
+  EXPECT_EQ(u64, 13u);
+  EXPECT_EQ(size, 14u);
+  EXPECT_EQ(d, -0.25);
+}
+
+TEST(ArgParser, RejectsUnknownFlagAndMissingValue) {
+  unsigned u = 0;
+  bool on = false;
+  bench::ArgParser parser("prog");
+  parser.uint_opt("--u", &u, "N", "").flag("--on", &on, "");
+  expect_rejected(parser, {"--nope"});
+  expect_rejected(parser, {"--on", "--nope"});
+  expect_rejected(parser, {"--u"});  // the value is missing
+  ASSERT_TRUE(parse(parser, {"--on", "--u", "3"}));
+  EXPECT_TRUE(on);
+  EXPECT_EQ(u, 3u);
+}
+
+TEST(ArgParser, HelpReturnsFalse) {
+  bool on = false;
+  bench::ArgParser parser("prog");
+  parser.flag("--on", &on, "");
+  testing::internal::CaptureStdout();
+  EXPECT_FALSE(parse(parser, {"--help"}));
+  EXPECT_NE(testing::internal::GetCapturedStdout().find("usage: prog"), std::string::npos);
+  EXPECT_FALSE(on);
+}
+
+TEST(ArgParser, UintListRejectsNegativeItems) {
+  std::vector<unsigned> points{1};
+  bench::ArgParser parser("prog");
+  parser.uint_list("--points", &points, "N,N", "");
+  expect_rejected(parser, {"--points", "1000,-2000"});
+  EXPECT_EQ(points, std::vector<unsigned>{1});
+  ASSERT_TRUE(parse(parser, {"--points", "1000,2000"}));
+  EXPECT_EQ(points, (std::vector<unsigned>{1000, 2000}));
+}
+
+TEST(ArgParser, RepeatedStringOptionKeepsEveryValueInOrder) {
+  std::vector<std::string> files;
+  std::string db;
+  bench::ArgParser parser("prog");
+  parser.repeated_string_opt("--from", &files, "path", "")
+      .repeated_string_opt("--current", &files, "path", "")
+      .string_opt("--db", &db, "path", "");
+  ASSERT_TRUE(parse(parser, {"--from", "a.json", "--db", "h.jsonl", "--current", "b.json",
+                             "--from", "a.json"}));
+  EXPECT_EQ(files, (std::vector<std::string>{"a.json", "b.json", "a.json"}));
+  EXPECT_EQ(db, "h.jsonl");
 }
 
 }  // namespace

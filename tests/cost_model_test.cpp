@@ -103,8 +103,8 @@ TEST(CostModel, PhysicalBreakdownMatchesTheFlowArea) {
 }
 
 TEST(CostModel, NetworkBreakdownHandlesT1Stages) {
-  // asap_stages must place a T1 body at the eq.-3 stage, and the estimate
-  // must include its landing chains.
+  // The ASAP stages (the levels) must place a T1 body at the eq.-3 stage, and
+  // the estimate must include its landing chains.
   Network net = optimized_full_adder();
   const CostModel m{CellLibrary{}, AreaConfig{}, MultiphaseConfig{4}};
   const uint64_t before = m.network_breakdown(net).total();
@@ -113,11 +113,10 @@ TEST(CostModel, NetworkBreakdownHandlesT1Stages) {
   detect_and_replace_t1(net, m, dp);
   net = net.cleanup();
   ASSERT_EQ(net.count_of(GateType::T1), 1u);
-  Stage out = 0;
-  const auto stage = asap_stages(net, &out);
+  const auto stage = net.levels();
   for (NodeId id = 0; id < net.size(); ++id) {
     if (net.node(id).type == GateType::T1) {
-      EXPECT_EQ(stage[id], 3);  // PIs at 0, eq. 3 forces sigma = 3
+      EXPECT_EQ(stage[id], 3u);  // PIs at 0, eq. 3 forces sigma = 3
     }
   }
   // Standalone, the T1 realization is priced higher than the 2-gate one —

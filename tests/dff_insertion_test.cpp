@@ -10,9 +10,7 @@ namespace t1sfq {
 namespace {
 
 PhaseAssignment assign(const Network& net, unsigned phases) {
-  PhaseAssignmentParams p;
-  p.clk.phases = phases;
-  return assign_phases(net, p);
+  return assign_phases(net, MultiphaseConfig{phases});
 }
 
 TEST(DffInsertion, ChainGetsNoDffs) {
@@ -24,9 +22,7 @@ TEST(DffInsertion, ChainGetsNoDffs) {
   }
   net.add_po(prev);
   const MultiphaseConfig clk{8};
-  PhaseAssignmentParams p;
-  p.clk = clk;
-  const auto pa = assign_phases(net, p);
+  const auto pa = assign_phases(net, clk);
   const auto phys = insert_dffs(net, pa, clk);
   EXPECT_EQ(phys.num_dffs, pa.estimated_dffs);
   EXPECT_TRUE(pulse_verify(phys.net, phys.stage, clk, net));
@@ -77,7 +73,7 @@ TEST(DffInsertion, T1LandingStagesAreDistinct) {
   const SumCarry fa = full_adder(net, a, b, c);
   net.add_po(fa.sum);
   net.add_po(fa.carry);
-  detect_and_replace_t1(net, CellLibrary{});
+  detect_and_replace_t1(net, CostModel{});
   net = net.cleanup();
   ASSERT_EQ(net.count_of(GateType::T1), 1u);
 
@@ -113,7 +109,7 @@ TEST(DffInsertion, PhysicalAdderIsPulseCorrect) {
   const Word b = add_pi_word(net, 4, "b");
   add_po_word(net, ripple_carry_adder(net, a, b, net.get_const0()), "s");
   const Network golden = net;
-  detect_and_replace_t1(net, CellLibrary{});
+  detect_and_replace_t1(net, CostModel{});
   net = net.cleanup();
   const MultiphaseConfig clk{4};
   const auto pa = assign(net, 4);

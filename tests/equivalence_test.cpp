@@ -257,10 +257,11 @@ Network mutate(const Network& net, NodeId swap, std::size_t invert) {
 
 /// Every (after, before) pair the PassManager guard checks on \p input.
 std::vector<std::pair<Network, Network>> guard_pairs(Network net, const OptParams& op) {
+  const CostModel model;
   std::vector<std::unique_ptr<Pass>> passes;
-  passes.push_back(std::make_unique<CutRewritingPass>(op));
-  passes.push_back(std::make_unique<BalancingPass>(op));
-  passes.push_back(std::make_unique<ResubstitutionPass>(op));
+  passes.push_back(std::make_unique<CutRewritingPass>(model, op));
+  passes.push_back(std::make_unique<BalancingPass>(model, op));
+  passes.push_back(std::make_unique<ResubstitutionPass>(model, op));
   std::vector<std::pair<Network, Network>> pairs;
   for (unsigned round = 0; round < op.rounds; ++round) {
     std::size_t round_applied = 0;

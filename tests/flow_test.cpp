@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "benchmarks/arith.hpp"
 #include "benchmarks/epfl.hpp"
 #include "benchmarks/iscas.hpp"
 #include "core/report.hpp"
 #include "network/equivalence.hpp"
+#include "network/io.hpp"
 
 namespace t1sfq {
 namespace {
@@ -122,14 +125,41 @@ TEST(Flow, T1OffScheduleMatchesFullSweepReference) {
     fp.output_slack = slack;
     const FlowResult res = run_flow(net, fp);
     PhaseAssignmentParams pp;
-    pp.clk = fp.clk;
     pp.output_slack = slack;
     pp.incremental = false;
-    const PhaseAssignment ref = assign_phases(res.mapped, pp);
+    const PhaseAssignment ref = assign_phases(res.mapped, fp.clk, pp);
     EXPECT_EQ(res.assignment.stage, ref.stage) << "slack " << slack;
     EXPECT_EQ(res.assignment.output_stage, ref.output_stage);
     EXPECT_EQ(res.assignment.estimated_dffs, ref.estimated_dffs);
   }
+}
+
+/// The flow's optimizer must price with the flow's own model — its library
+/// and phase count — not a default one: the mapped network (T1 off, so it is
+/// exactly the optimizer's output) equals optimize() under `fp.cost()` and
+/// differs from optimize() under the default model.
+TEST(Flow, OptimizerPricesWithTheFlowModel) {
+  const Network net = bench::epfl_voter(15);
+  FlowParams fp;
+  fp.use_t1 = false;
+  fp.clk.phases = 6;
+  fp.lib.jj_dff = 10;  // pricier balancing DFFs, cheaper splitters, dearer XORs
+  fp.lib.jj_splitter = 1;
+  fp.lib.jj_xor2 = 12;
+  fp.lib.jj_xor3 = 20;
+  const FlowResult res = run_flow(net, fp);
+
+  const auto blif = [](const Network& n) {
+    std::ostringstream ss;
+    write_blif(n, ss);
+    return ss.str();
+  };
+  Network flow_model = net.cleanup();
+  optimize(flow_model, fp.cost(), fp.opt);
+  Network default_model = net.cleanup();
+  optimize(default_model, CostModel{}, fp.opt);
+  EXPECT_EQ(blif(res.mapped), blif(flow_model));
+  EXPECT_NE(blif(res.mapped), blif(default_model));
 }
 
 TEST(Flow, MilpEngineOnTinyCircuit) {

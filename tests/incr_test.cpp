@@ -51,8 +51,10 @@ void expect_matches_scratch(const IncrementalView& view, const Network& net,
       ASSERT_EQ(view.level(id), lvl[id]) << "level of node " << id;
     }
   }
-  Stage out = 1;
-  const auto stages = asap_stages(net, &out);
+  // From scratch, the ASAP stages are the levels and the sink sits one past
+  // the deepest PO.
+  const std::vector<Stage> stages(lvl.begin(), lvl.end());
+  const Stage out = static_cast<Stage>(model.measure_network(net).depth) + 1;
   ASSERT_EQ(view.output_stage(), out);
   // ALAP/slack: the maintained reverse relaxation must be bit-identical to a
   // from-scratch one (a fresh view's first query is exactly that), and always
@@ -328,7 +330,6 @@ TEST(IncrementalView, PartitionMergeDetectAssignComposedWithMidFlowCleanup) {
             .cleanup();
 
     OptParams op;
-    op.clk = MultiphaseConfig{4};
     op.partition_jobs = 3;
     op.partition_min_gates = 1;  // force the partition/merge path at this size
     op.partition_max_region = 48;
@@ -336,17 +337,15 @@ TEST(IncrementalView, PartitionMergeDetectAssignComposedWithMidFlowCleanup) {
     // Reference: partitioned optimize, private-view detection, scheduler on
     // a fresh view.
     Network ref_net = input;
-    optimize(ref_net, op);
+    optimize(ref_net, model, op);
     T1DetectionParams det;
     detect_and_replace_t1(ref_net, model, det);
-    PhaseAssignmentParams pp;
-    pp.clk = MultiphaseConfig{4};
-    const PhaseAssignment ref = assign_phases(ref_net, pp);
+    const PhaseAssignment ref = assign_phases(ref_net, model.clk());
     ASSERT_TRUE(ref.feasible);
 
     // Composed path under test.
     Network net = input;
-    optimize(net, op);
+    optimize(net, model, op);
     IncrementalView view(net, model, /*track_plan=*/true);
     std::vector<NodeId> old_to_new;
     net = net.cleanup(&old_to_new);  // cleanup mid-flow, before detection
@@ -355,7 +354,7 @@ TEST(IncrementalView, PartitionMergeDetectAssignComposedWithMidFlowCleanup) {
 
     const T1DetectionStats stats = detect_and_replace_t1(net, model, det, &view);
     expect_matches_scratch(view, net, model);
-    const PhaseAssignment got = assign_phases(view, pp);
+    const PhaseAssignment got = assign_phases(view);
 
     // Same physical outcome as the reference pipeline, node for node.
     ASSERT_EQ(net.size(), ref_net.size());
@@ -436,11 +435,10 @@ TEST(IncrementalView, PlanSpineOnMatchesPlanDffsAtAnySink) {
 
   for (const Stage slack : {Stage{0}, Stage{3}}) {
     PhaseAssignmentParams pp;
-    pp.clk = model.clk();
     pp.output_slack = slack;
     const PhaseAssignment pa = assign_phases(view, pp);
     ASSERT_TRUE(pa.feasible);
-    const InsertionPlan plan = plan_dffs(net, pa.stage, pa.output_stage, pp.clk);
+    const InsertionPlan plan = plan_dffs(net, pa.stage, pa.output_stage, model.clk());
     int64_t dedicated = 0;
     std::size_t t1s = 0;
     for (const NodeId id : net.topo_order()) {
@@ -484,7 +482,7 @@ TEST(ScheduleRefiner, NeverWorseThanTheAsapPlan) {
   Network net = bench::epfl_voter(25);
   OptParams op;
   op.rounds = 1;
-  optimize(net, op);
+  optimize(net, model, op);
   T1DetectionParams det;  // default: ASAP-only guard
   detect_and_replace_t1(net, model, det);
   IncrementalView view(net, model, /*track_plan=*/true);

@@ -28,10 +28,11 @@ TEST_P(OptProperty, EquivalentAndNeverWorse) {
   const Network golden = net.cleanup();
   const std::size_t gates_before = net.num_gates();
   const uint32_t depth_before = net.depth();
-  const int64_t dffs_before = estimate_plan_dffs(net, MultiphaseConfig{4});
+  const CostModel model;
+  const int64_t dffs_before = model.measure_network(net).plan_dffs;
   Network reference = net;
 
-  const OptSummary s = optimize(net, OptParams{});
+  const OptSummary s = optimize(net, model);
 
   // 1. Function preserved (complete SAT proof: these are small networks).
   EXPECT_EQ(check_equivalence(net, golden).result, EquivalenceResult::Equivalent)
@@ -39,7 +40,7 @@ TEST_P(OptProperty, EquivalentAndNeverWorse) {
   // 2. Never worse on any tracked axis.
   EXPECT_LE(net.num_gates(), gates_before) << "seed " << seed;
   EXPECT_LE(net.depth(), depth_before) << "seed " << seed;
-  EXPECT_LE(estimate_plan_dffs(net, MultiphaseConfig{4}), dffs_before) << "seed " << seed;
+  EXPECT_LE(model.measure_network(net).plan_dffs, dffs_before) << "seed " << seed;
   // 3. The summary is consistent with the network.
   EXPECT_EQ(s.gates_after, net.num_gates());
   EXPECT_EQ(s.depth_after, net.depth());
@@ -51,7 +52,7 @@ TEST_P(OptProperty, EquivalentAndNeverWorse) {
   //    full-recompute reference, netlist for netlist.
   OptParams full;
   full.incremental = false;
-  optimize(reference, full);
+  optimize(reference, model, full);
   std::ostringstream got, want;
   write_blif(net, got);
   write_blif(reference, want);

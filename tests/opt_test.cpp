@@ -182,7 +182,7 @@ TEST(CutRewriting, CompressesFullAdders) {
   const std::size_t gates_before = net.num_gates();
   const uint32_t depth_before = net.depth();
 
-  CutRewritingPass pass{OptParams{}};
+  CutRewritingPass pass{CostModel{}, OptParams{}};
   const std::size_t applied = pass.run(net);
   net = net.cleanup();
 
@@ -200,7 +200,7 @@ TEST(CutRewriting, LeavesOptimalNetworksAlone) {
   const NodeId b = net.add_pi();
   const NodeId c = net.add_pi();
   net.add_po(net.add_maj(a, b, c));
-  CutRewritingPass pass{OptParams{}};
+  CutRewritingPass pass{CostModel{}, OptParams{}};
   EXPECT_EQ(pass.run(net), 0u);
   EXPECT_EQ(net.count_of(GateType::Maj3), 1u);
 }
@@ -223,7 +223,7 @@ TEST(Balancing, RebalancesLeftFoldChains) {
   const Network golden = net.cleanup();
   ASSERT_EQ(net.depth(), 8u);
 
-  BalancingPass pass{OptParams{}};
+  BalancingPass pass{CostModel{}, OptParams{}};
   EXPECT_EQ(pass.run(net), 1u);
   net = net.cleanup();
   EXPECT_LE(net.depth(), 3u);  // ternary tree over 9 operands: ceil(log3) = 2
@@ -241,7 +241,7 @@ TEST(Balancing, XorParityCancellation) {
   }
   net.add_po(acc);
   const Network golden = net.cleanup();
-  BalancingPass pass{OptParams{}};
+  BalancingPass pass{CostModel{}, OptParams{}};
   EXPECT_EQ(pass.run(net), 1u);
   net = net.cleanup();
   EXPECT_EQ(net.num_gates(), 0u);  // the PO is the PI itself
@@ -256,7 +256,7 @@ TEST(Balancing, ComplementPairFoldsAndChainToConst) {
   const NodeId na = net.add_not(a);
   net.add_po(net.add_and(net.add_and(a, b), net.add_and(na, c)));
   const Network golden = net.cleanup();
-  BalancingPass pass{OptParams{}};
+  BalancingPass pass{CostModel{}, OptParams{}};
   EXPECT_EQ(pass.run(net), 1u);
   net = net.cleanup();
   EXPECT_EQ(net.num_gates(), 0u);  // a & !a & ... = 0
@@ -279,7 +279,7 @@ TEST(Balancing, InverterRecreatedAfterEarlierCommit) {
   net.add_po(net.add_and(net.add_and(net.add_and(inv, p[4]), p[5]), inv));
   const Network golden = net.cleanup();
 
-  BalancingPass pass{OptParams{}};
+  BalancingPass pass{CostModel{}, OptParams{}};
   pass.run(net);
   net = net.cleanup();
   EXPECT_EQ(check_equivalence(net, golden).result, EquivalenceResult::Equivalent);
@@ -295,7 +295,7 @@ TEST(Balancing, PrefersTernaryCellsForArea) {
   const NodeId c = net.add_pi();
   const NodeId d = net.add_pi();
   net.add_po(net.add_and(net.add_and(net.add_and(a, b), c), d));
-  BalancingPass pass{OptParams{}};
+  BalancingPass pass{CostModel{}, OptParams{}};
   EXPECT_EQ(pass.run(net), 1u);
   net = net.cleanup();
   EXPECT_EQ(net.count_of(GateType::And3), 1u);
@@ -319,7 +319,7 @@ TEST(Resubstitution, MergesStructurallyDifferentEquivalents) {
   const Network golden = net.cleanup();
   const std::size_t gates_before = net.num_gates();
 
-  ResubstitutionPass pass{OptParams{}};
+  ResubstitutionPass pass{CostModel{}, OptParams{}};
   EXPECT_GT(pass.run(net), 0u);
   net = net.cleanup();
   EXPECT_LT(net.num_gates(), gates_before);
@@ -338,7 +338,7 @@ TEST(Resubstitution, UsesAnInverterForComplementedMatches) {
   net.add_po(net.add_xor(g, b));
   const Network golden = net.cleanup();
 
-  ResubstitutionPass pass{OptParams{}};
+  ResubstitutionPass pass{CostModel{}, OptParams{}};
   EXPECT_GT(pass.run(net), 0u);
   net = net.cleanup();
   EXPECT_EQ(check_equivalence(net, golden).result, EquivalenceResult::Equivalent);
@@ -363,7 +363,7 @@ TEST(Resubstitution, InverterCreatedByEarlierCommitMayDieLater) {
   net.add_po(net.add_xor(g, b));
   const Network golden = net.cleanup();
 
-  ResubstitutionPass pass{OptParams{}};
+  ResubstitutionPass pass{CostModel{}, OptParams{}};
   EXPECT_GT(pass.run(net), 0u);
   net = net.cleanup();
   EXPECT_EQ(check_equivalence(net, golden).result, EquivalenceResult::Equivalent);
@@ -379,7 +379,7 @@ TEST(Resubstitution, FindsConstantNodes) {
   net.add_po(f);
   net.add_po(zero);
   const Network golden = net.cleanup();
-  ResubstitutionPass pass{OptParams{}};
+  ResubstitutionPass pass{CostModel{}, OptParams{}};
   EXPECT_GT(pass.run(net), 0u);
   net = net.cleanup();
   EXPECT_EQ(net.num_gates(), 0u);
@@ -394,7 +394,7 @@ TEST(PassManager, StandardPipelineRecordsStats) {
   Network net = small_adder(8);
   const Network golden = net.cleanup();
   OptParams params;
-  PassManager manager = PassManager::standard(params);
+  PassManager manager = PassManager::standard(CostModel{}, params);
   EXPECT_EQ(manager.num_passes(), 3u);
   const OptSummary s = manager.run(net);
 
@@ -418,7 +418,7 @@ TEST(PassManager, DisabledIsANoop) {
   const std::size_t gates = net.num_gates();
   OptParams params;
   params.enable = false;
-  const OptSummary s = optimize(net, params);
+  const OptSummary s = optimize(net, CostModel{}, params);
   EXPECT_EQ(s.total_applied, 0u);
   EXPECT_EQ(net.num_gates(), gates);
 }
@@ -427,7 +427,7 @@ TEST(PassManager, PerPassTogglesAreHonored) {
   OptParams params;
   params.balancing = false;
   params.resubstitution = false;
-  PassManager manager = PassManager::standard(params);
+  PassManager manager = PassManager::standard(CostModel{}, params);
   EXPECT_EQ(manager.num_passes(), 1u);
 }
 

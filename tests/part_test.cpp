@@ -208,13 +208,14 @@ TEST(ShardRunner, DeterministicAcrossJobCountsAndEquivalent) {
     Network seq = input;
     OptParams seq_op = part_params(0);
     seq_op.partition_jobs = 0;
-    optimize(seq, seq_op);
+    optimize(seq, CostModel{}, seq_op);
 
     Network first;
     for (const unsigned jobs : {1u, 2u, 8u}) {
       Network net = input;
       part::PartitionOptStats stats;
-      const OptSummary s = part::optimize_partitioned(net, part_params(jobs), &stats);
+      const OptSummary s =
+          part::optimize_partitioned(net, CostModel{}, part_params(jobs), &stats);
       EXPECT_GE(stats.regions, 2u);
       EXPECT_GT(stats.boundary_nodes, 0u);
       EXPECT_LE(net.depth(), input.depth());
@@ -231,12 +232,11 @@ TEST(ShardRunner, DeterministicAcrossJobCountsAndEquivalent) {
 
     // Byte-identical schedules too: the scheduler is deterministic, so this
     // follows from network identity — assert it end to end anyway.
-    PhaseAssignmentParams pp;
     Network a = input, b = input;
-    optimize(a, part_params(1));
-    optimize(b, part_params(8));
-    const PhaseAssignment pa = assign_phases(a, pp);
-    const PhaseAssignment pb = assign_phases(b, pp);
+    optimize(a, CostModel{}, part_params(1));
+    optimize(b, CostModel{}, part_params(8));
+    const PhaseAssignment pa = assign_phases(a, MultiphaseConfig{4});
+    const PhaseAssignment pb = assign_phases(b, MultiphaseConfig{4});
     EXPECT_EQ(pa.stage, pb.stage);
     EXPECT_EQ(pa.output_stage, pb.output_stage);
     EXPECT_EQ(pa.estimated_dffs, pb.estimated_dffs);
@@ -250,10 +250,10 @@ TEST(ShardRunner, DispatchesThroughOptimizeAndFallsBackWhenSmall) {
   // sequential pipeline exactly (it falls back to it).
   Network seq = input;
   OptParams op;
-  optimize(seq, op);
+  optimize(seq, CostModel{}, op);
   Network parted = input;
   op.partition_jobs = 4;  // default partition_min_gates = 4000 > 400 gates
-  optimize(parted, op);
+  optimize(parted, CostModel{}, op);
   expect_identical(parted, seq);
 }
 
@@ -263,7 +263,7 @@ TEST(ShardRunner, SampledShardChecksRun) {
   Network net = input;
   const OptParams op = part_params(2);
   part::PartitionOptStats stats;
-  part::optimize_partitioned(net, op, &stats);
+  part::optimize_partitioned(net, CostModel{}, op, &stats);
   // Every changed shard is proved, in the main phase and in the stitch round.
   EXPECT_GT(stats.shards_changed, 0u);
   EXPECT_GE(stats.sat_checked_shards, stats.shards_changed);

@@ -20,10 +20,9 @@ Network chain(unsigned length) {
   return net;
 }
 
-PhaseAssignmentParams params(unsigned phases, PhaseEngine engine = PhaseEngine::Heuristic) {
+PhaseAssignmentParams exact_milp() {
   PhaseAssignmentParams p;
-  p.clk.phases = phases;
-  p.engine = engine;
+  p.engine = PhaseEngine::ExactMilp;
   return p;
 }
 
@@ -32,12 +31,12 @@ TEST(PhaseAssignment, ChainWithinWindowNeedsNoDffs) {
   // every edge fits one clock window; with n = 1 the side input needs a
   // spine covering all but the first level.
   const Network net = chain(4);
-  const auto pa4 = assign_phases(net, params(4));
+  const auto pa4 = assign_phases(net, MultiphaseConfig{4});
   EXPECT_TRUE(pa4.feasible);
   EXPECT_EQ(pa4.estimated_dffs, 0);
-  const auto pa8 = assign_phases(net, params(8));
+  const auto pa8 = assign_phases(net, MultiphaseConfig{8});
   EXPECT_EQ(pa8.estimated_dffs, 0);
-  const auto pa1 = assign_phases(net, params(1));
+  const auto pa1 = assign_phases(net, MultiphaseConfig{1});
   EXPECT_EQ(pa1.estimated_dffs, 3);  // shared spine for the side input
 }
 
@@ -51,11 +50,11 @@ TEST(PhaseAssignment, UnbalancedFanoutCostsDffs) {
     deep = net.add_xor(deep, o);
   }
   net.add_po(net.add_and(x, deep));
-  const auto pa1 = assign_phases(net, params(1));
+  const auto pa1 = assign_phases(net, MultiphaseConfig{1});
   // Single phase: the x -> and edge spans 10 levels: 9 DFFs; plus `o` feeding
   // all chain stages needs its own spine of 8.
   EXPECT_EQ(pa1.estimated_dffs, 9 + 8);
-  const auto pa4 = assign_phases(net, params(4));
+  const auto pa4 = assign_phases(net, MultiphaseConfig{4});
   // Four phases: ceil(10/4)-1 = 2 on the x edge, ceil(9/4)-1 = 2 for o.
   EXPECT_EQ(pa4.estimated_dffs, 2 + 2);
 }
@@ -82,7 +81,7 @@ TEST(PhaseAssignment, T1ConstraintEquation3) {
   const NodeId g = net.add_and(a, b);       // stage >= 1
   const NodeId t1 = net.add_t1(g, b, c);
   net.add_po(net.add_t1_port(t1, T1PortFn::Sum));
-  const auto pa = assign_phases(net, params(4));
+  const auto pa = assign_phases(net, MultiphaseConfig{4});
   ASSERT_TRUE(pa.feasible);
   // Fanins at stages {1, 0, 0}: sigma_T1 >= max(0+3, 0+2, 1+1)... sorted
   // ascending (0,0,1) -> max(0+3, 0+2, 1+1) = 3? No: eq. 3 assigns the
@@ -99,7 +98,7 @@ TEST(PhaseAssignment, T1WithFewerThanFourPhasesInfeasible) {
   const NodeId c = net.add_pi();
   const NodeId t1 = net.add_t1(a, b, c);
   net.add_po(net.add_t1_port(t1, T1PortFn::Sum));
-  const auto pa = assign_phases(net, params(3));
+  const auto pa = assign_phases(net, MultiphaseConfig{3});
   EXPECT_FALSE(pa.feasible);
 }
 
@@ -112,7 +111,7 @@ TEST(PhaseAssignment, PlanCountsT1LandingDffs) {
   const NodeId c = net.add_pi();
   const NodeId t1 = net.add_t1(a, b, c);
   net.add_po(net.add_t1_port(t1, T1PortFn::Sum));
-  const auto pa = assign_phases(net, params(4));
+  const auto pa = assign_phases(net, MultiphaseConfig{4});
   ASSERT_TRUE(pa.feasible);
   EXPECT_EQ(pa.stage[t1], 3);
   // Slots land at stages 0,1,2 from PIs at stage 0: two DFF chains (stages 1
@@ -133,7 +132,7 @@ TEST(PhaseAssignment, HeuristicImprovesOnAsap) {
   }
   const NodeId shallow = net.add_not(x);
   net.add_po(net.add_and(deep, shallow));
-  const auto pa = assign_phases(net, params(8));
+  const auto pa = assign_phases(net, MultiphaseConfig{8});
   // With 8 phases everything fits in one window; optimal is zero DFFs.
   EXPECT_EQ(pa.estimated_dffs, 0);
 }
@@ -143,8 +142,8 @@ TEST(PhaseAssignment, MilpMatchesHeuristicOnSmallAdder) {
   const Word a = add_pi_word(net, 3, "a");
   const Word b = add_pi_word(net, 3, "b");
   add_po_word(net, ripple_carry_adder(net, a, b, net.get_const0()), "s");
-  const auto h = assign_phases(net, params(4, PhaseEngine::Heuristic));
-  const auto m = assign_phases(net, params(4, PhaseEngine::ExactMilp));
+  const auto h = assign_phases(net, MultiphaseConfig{4});
+  const auto m = assign_phases(net, MultiphaseConfig{4}, exact_milp());
   ASSERT_TRUE(h.feasible);
   ASSERT_TRUE(m.feasible);
   // The exact engine can never be worse under the shared cost model.
@@ -160,10 +159,10 @@ TEST(PhaseAssignment, MilpHandlesT1Slots) {
   const SumCarry fa = full_adder(net, a, b, c);
   net.add_po(fa.sum);
   net.add_po(fa.carry);
-  detect_and_replace_t1(net, CellLibrary{});
+  detect_and_replace_t1(net, CostModel{});
   net = net.cleanup();
   ASSERT_EQ(net.count_of(GateType::T1), 1u);
-  const auto m = assign_phases(net, params(4, PhaseEngine::ExactMilp));
+  const auto m = assign_phases(net, MultiphaseConfig{4}, exact_milp());
   ASSERT_TRUE(m.feasible);
   EXPECT_TRUE(assignment_feasible(net, m.stage, m.output_stage, MultiphaseConfig{4}));
 }
@@ -209,7 +208,7 @@ TEST(PhaseAssignment, OutputStageBalancesAllPos) {
   const NodeId o = net.add_pi();
   net.add_po(net.add_and(x, o));                          // depth 1
   net.add_po(net.add_xor(net.add_or(x, o), x));           // depth 2
-  const auto pa = assign_phases(net, params(4));
+  const auto pa = assign_phases(net, MultiphaseConfig{4});
   EXPECT_GE(pa.output_stage, 3);
   EXPECT_TRUE(assignment_feasible(net, pa.stage, pa.output_stage, MultiphaseConfig{4}));
 }
@@ -222,8 +221,8 @@ TEST_P(PhaseSweep, MorePhasesNeverIncreaseDffs) {
   const Word b = add_pi_word(net, 6, "b");
   add_po_word(net, ripple_carry_adder(net, a, b, net.get_const0()), "s");
   const unsigned n = GetParam();
-  const auto low = assign_phases(net, params(n));
-  const auto high = assign_phases(net, params(2 * n));
+  const auto low = assign_phases(net, MultiphaseConfig{n});
+  const auto high = assign_phases(net, MultiphaseConfig{2 * n});
   EXPECT_LE(high.estimated_dffs, low.estimated_dffs) << n << " vs " << 2 * n;
 }
 
@@ -246,16 +245,16 @@ TEST(PhaseAssignment, IncrementalSchedulerMatchesLegacyFullSweep) {
     const Word a = add_pi_word(net, bits, "a");
     const Word b = add_pi_word(net, bits, "b");
     add_po_word(net, ripple_carry_adder(net, a, b, net.get_const0()), "s");
-    detect_and_replace_t1(net, CellLibrary{});  // plant chained T1 bodies
+    detect_and_replace_t1(net, CostModel{});  // plant chained T1 bodies
 
     for (const unsigned phases : {4u, 6u}) {
       for (const Stage slack : {Stage{0}, Stage{3}}) {
-        PhaseAssignmentParams p = params(phases);
+        PhaseAssignmentParams p;
         p.output_slack = slack;
         p.incremental = false;
-        const auto legacy = assign_phases(net, p);
+        const auto legacy = assign_phases(net, MultiphaseConfig{phases}, p);
         p.incremental = true;
-        const auto incr = assign_phases(net, p);
+        const auto incr = assign_phases(net, MultiphaseConfig{phases}, p);
         ASSERT_TRUE(legacy.feasible);
         ASSERT_TRUE(incr.feasible);
         EXPECT_EQ(incr.stage, legacy.stage)
@@ -283,10 +282,10 @@ TEST(PhaseAssignment, ViewSeededOverloadMatchesFromScratch) {
   ASSERT_GE(view.view_stats().rebinds, 1u);
 
   for (const Stage slack : {Stage{0}, Stage{3}}) {
-    PhaseAssignmentParams p = params(4);
+    PhaseAssignmentParams p;
     p.output_slack = slack;
     p.incremental = false;
-    const auto full_sweep = assign_phases(net, p);
+    const auto full_sweep = assign_phases(net, model.clk(), p);
     p.incremental = true;
     const auto from_view = assign_phases(view, p);
     ASSERT_TRUE(from_view.feasible);

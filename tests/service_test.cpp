@@ -286,9 +286,8 @@ TEST(ServiceServer, WarmHitSurvivesRenumbering) {
 }
 
 TEST(ServiceServer, EcoProgressionIsBitIdenticalToCold) {
-  // With T1 off the session still schedules from a view it builds itself,
-  // while the stateless flow schedules from scratch: the one place the two
-  // take different assignment paths.
+  // T1 on and off: either way the session patches and reschedules the view
+  // its logical half left, while the cold flow builds its own.
   for (const bool t1 : {true, false}) {
     SCOPED_TRACE(t1 ? "use_t1(true)" : "use_t1(false)");
     const auto request = [t1](const Network& net, const std::string& session) {
@@ -335,6 +334,9 @@ TEST(ServiceServer, EcoProgressionIsBitIdenticalToCold) {
     EXPECT_EQ(eco.metrics.area_jj, cold.metrics.area_jj);
     EXPECT_EQ(eco.metrics.depth_cycles, cold.metrics.depth_cycles);
     EXPECT_EQ(eco.metrics.t1_used, cold.metrics.t1_used);
+    // The physical half reads the post-detection estimate off the session's
+    // patched view; it must equal the cold flow's.
+    EXPECT_EQ(eco.metrics.detect_area_jj, cold.metrics.detect_area_jj);
   }
 }
 

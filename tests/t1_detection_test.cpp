@@ -25,8 +25,7 @@ Network full_adder_net() {
 TEST(T1Detection, FullAdderBecomesOneT1) {
   Network net = full_adder_net();
   const Network golden = net;
-  const CellLibrary lib;
-  const auto stats = detect_and_replace_t1(net, lib);
+  const auto stats = detect_and_replace_t1(net, CostModel{});
   EXPECT_EQ(stats.found, 1u);
   EXPECT_EQ(stats.used, 1u);
   EXPECT_GT(stats.estimated_gain, 0);
@@ -43,7 +42,7 @@ TEST(T1Detection, ReplacementReducesRawArea) {
   Network net = full_adder_net();
   const CellLibrary lib;
   const uint64_t before = raw_gate_area(net, lib);
-  detect_and_replace_t1(net, lib);
+  detect_and_replace_t1(net, CostModel{});
   net = net.cleanup();
   EXPECT_LT(raw_gate_area(net, lib), before);
 }
@@ -56,7 +55,7 @@ TEST(T1Detection, RippleCarryChainFullyConverted) {
   const NodeId cin = net.add_pi("cin");
   add_po_word(net, ripple_carry_adder(net, a, b, cin), "s");
   const Network golden = net;
-  const auto stats = detect_and_replace_t1(net, CellLibrary{});
+  const auto stats = detect_and_replace_t1(net, CostModel{});
   EXPECT_EQ(stats.used, bits);  // one T1 per full adder
   net = net.cleanup();
   EXPECT_EQ(net.count_of(GateType::T1), bits);
@@ -71,7 +70,7 @@ TEST(T1Detection, SingleXor3AloneIsNotAGroup) {
   const NodeId b = net.add_pi();
   const NodeId c = net.add_pi();
   net.add_po(net.add_xor(net.add_xor(a, b), c));
-  const auto stats = detect_and_replace_t1(net, CellLibrary{});
+  const auto stats = detect_and_replace_t1(net, CostModel{});
   EXPECT_EQ(stats.found, 0u);
   EXPECT_EQ(stats.used, 0u);
   EXPECT_EQ(net.count_of(GateType::T1), 0u);
@@ -86,7 +85,7 @@ TEST(T1Detection, MinCutsOneAllowsSingletons) {
   T1DetectionParams p;
   p.min_cuts_per_group = 1;
   p.require_positive_gain = false;
-  const auto stats = detect_and_replace_t1(net, CellLibrary{}, p);
+  const auto stats = detect_and_replace_t1(net, CostModel{}, p);
   EXPECT_EQ(stats.used, 1u);
   EXPECT_EQ(net.count_of(GateType::T1), 1u);
 }
@@ -96,7 +95,8 @@ TEST(T1Detection, NegativeGainRejected) {
   Network net = full_adder_net();
   CellLibrary lib;
   lib.jj_t1 = 10000;
-  const auto stats = detect_and_replace_t1(net, lib);
+  const auto stats =
+      detect_and_replace_t1(net, CostModel(lib, AreaConfig{}, MultiphaseConfig{4}));
   EXPECT_EQ(stats.used, 0u);
   EXPECT_EQ(net.count_of(GateType::T1), 0u);
 }
@@ -114,7 +114,7 @@ TEST(T1Detection, InvertedOutputsUseStarPorts) {
   const Network golden = net;
   T1DetectionParams p;
   p.require_positive_gain = false;
-  detect_and_replace_t1(net, CellLibrary{}, p);
+  detect_and_replace_t1(net, CostModel{}, p);
   net = net.cleanup();
   ASSERT_EQ(net.count_of(GateType::T1), 1u);
   EXPECT_EQ(check_equivalence_sat(net, golden).result, EquivalenceResult::Equivalent);
@@ -133,7 +133,7 @@ TEST(T1Detection, SharedLogicOutsideConeSurvives) {
   net.add_po(carry, "co");
   net.add_po(axb, "extra");  // external use
   const Network golden = net;
-  detect_and_replace_t1(net, CellLibrary{});
+  detect_and_replace_t1(net, CostModel{});
   EXPECT_EQ(check_equivalence_sat(net, golden).result, EquivalenceResult::Equivalent);
   // axb must still exist to drive the extra PO.
   bool axb_alive = false;
@@ -159,7 +159,7 @@ TEST(T1Detection, OverlappingCandidatesResolvedGreedily) {
   net.add_po(fa2.sum);
   net.add_po(fa2.carry);
   const Network golden = net;
-  const auto stats = detect_and_replace_t1(net, CellLibrary{});
+  const auto stats = detect_and_replace_t1(net, CostModel{});
   EXPECT_EQ(stats.used, 2u);
   EXPECT_EQ(check_equivalence_sat(net, golden).result, EquivalenceResult::Equivalent);
 }
@@ -173,7 +173,7 @@ TEST(T1Detection, MultiplierConvertsManyAdders) {
     return n;
   }();
   const Network golden = net;
-  const auto stats = detect_and_replace_t1(net, CellLibrary{});
+  const auto stats = detect_and_replace_t1(net, CostModel{});
   EXPECT_GT(stats.used, 10u);
   EXPECT_GE(stats.found, stats.used);
   net = net.cleanup();
@@ -182,10 +182,10 @@ TEST(T1Detection, MultiplierConvertsManyAdders) {
 
 TEST(T1Detection, IdempotentOnConvertedNetwork) {
   Network net = full_adder_net();
-  detect_and_replace_t1(net, CellLibrary{});
+  detect_and_replace_t1(net, CostModel{});
   net = net.cleanup();
   const std::size_t t1s = net.count_of(GateType::T1);
-  const auto stats2 = detect_and_replace_t1(net, CellLibrary{});
+  const auto stats2 = detect_and_replace_t1(net, CostModel{});
   EXPECT_EQ(stats2.used, 0u);  // T1 regions are cut barriers
   EXPECT_EQ(net.count_of(GateType::T1), t1s);
 }
@@ -205,9 +205,7 @@ TEST(T1Detection, GuardProbeThresholdSwitchesToEnvelopeAndStaysShallow) {
 
   const MultiphaseConfig clk{4};
   const CostModel model(CellLibrary{}, AreaConfig{}, clk);
-  PhaseAssignmentParams pp;
-  pp.clk = clk;
-  const Stage input_sink = assign_phases(golden, pp).output_stage;
+  const Stage input_sink = assign_phases(golden, clk).output_stage;
 
   Network probed = golden;
   T1DetectionParams params;  // defaults: guard on, net far below the threshold
@@ -223,7 +221,7 @@ TEST(T1Detection, GuardProbeThresholdSwitchesToEnvelopeAndStaysShallow) {
   EXPECT_GT(env_stats.used, 0u);
   EXPECT_EQ(check_equivalence_sat(enveloped, golden).result,
             EquivalenceResult::Equivalent);
-  const Stage env_sink = assign_phases(enveloped, pp).output_stage;
+  const Stage env_sink = assign_phases(enveloped, clk).output_stage;
   EXPECT_LE(clk.cycles(env_sink - 1), clk.cycles(input_sink - 1));
 
   // Below the threshold the counterfactual probe is measured and the result
