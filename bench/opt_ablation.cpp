@@ -77,6 +77,12 @@ int main(int argc, char** argv) {
       .string_opt("--json", &json_path, "path", "write records as JSON")
       .string_opt("--db", &db_path, "path", "append records to result DB");
   if (!args.parse(argc, argv)) return 2;
+  if (phases < kMinT1Phases) {
+    // Every row runs a T1 flow, and run_flow would throw inside a worker job.
+    std::cerr << "bench_opt_ablation: --phases " << phases << ": T1 cells need >= " << kMinT1Phases
+              << " clock phases (three distinct landing slots)\n";
+    return 2;
+  }
   verify = !no_verify;
 
   const auto suite = shrink > 1 ? bench::make_suite_scaled(shrink) : bench::make_suite();

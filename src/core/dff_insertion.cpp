@@ -2,9 +2,9 @@
 
 #include "cost/cost_model.hpp"
 
-#include <cassert>
 #include <map>
 #include <stdexcept>
+#include <vector>
 
 namespace t1sfq {
 
@@ -13,8 +13,7 @@ namespace {
 class Inserter {
 public:
   Inserter(const Network& net, const PhaseAssignment& pa, const MultiphaseConfig& clk)
-      : net_(net), pa_(pa), clk_(clk), n_(static_cast<Stage>(clk.phases)) {
-    plan_ = plan_dffs(net, pa.stage, pa.output_stage, clk);
+      : net_(net), pa_(pa), clk_(clk), n_(static_cast<Stage>(clk.phases)), spines_(net.size()) {
     out_.net.set_name(net.name());
     out_.output_stage = pa.output_stage;
     out_.node_map.assign(net.size(), kNullNode);
@@ -131,12 +130,12 @@ private:
         break;
       }
       case GateType::T1: {
-        const auto slots_it = plan_.t1_slots.find(id);
-        assert(slots_it != plan_.t1_slots.end());
+        // The landing slots plan_dffs prices (eq. 3).
+        const auto slots = t1_slot_perm(net_, pa_.stage, id, n_);
         std::vector<NodeId> feeds;
         for (unsigned i = 0; i < 3; ++i) {
           const NodeId pin = driver_key(net_, node.fanin(i));
-          feeds.push_back(feed_landing_(pin, stage_of_(id) - slots_it->second[i]));
+          feeds.push_back(feed_landing_(pin, stage_of_(id) - slots[i]));
         }
         out_.node_map[id] = new_with_stage_(
             out_.net.add_t1(feeds[0], feeds[1], feeds[2]), stage_of_(id));
@@ -158,9 +157,8 @@ private:
   const PhaseAssignment& pa_;
   MultiphaseConfig clk_;
   Stage n_;
-  InsertionPlan plan_;
   PhysicalNetlist out_;
-  std::map<NodeId, std::vector<NodeId>> spines_;
+  std::vector<std::vector<NodeId>> spines_;  ///< per driver pin: its DFF chain
   std::map<std::pair<NodeId, Stage>, NodeId> landings_;
 };
 

@@ -50,7 +50,7 @@ FlowResult run_flow(const Network& input, const FlowParams& params) {
 
 void run_logical_flow(const Network& input, const FlowParams& params,
                       FlowResult& result, std::optional<IncrementalView>& view) {
-  if (params.use_t1 && params.clk.phases < 4) {
+  if (params.use_t1 && params.clk.phases < kMinT1Phases) {
     throw std::invalid_argument(
         "run_flow: T1 cells need >= 4 clock phases (three distinct landing slots)");
   }

@@ -118,8 +118,12 @@ struct FlowResult {
 
 class IncrementalView;
 
+/// Fewest clock phases a T1 flow runs on: the three landing slots of eq. 3
+/// need n ≥ 4.
+constexpr unsigned kMinT1Phases = 4;
+
 /// Runs the flow. Throws std::invalid_argument when `use_t1` is combined with
-/// fewer than 4 phases (the three landing slots of eq. 3 need n ≥ 4).
+/// fewer than kMinT1Phases phases.
 FlowResult run_flow(const Network& input, const FlowParams& params = {});
 
 /// The logical half of run_flow: cleans \p input into `result.mapped`, runs

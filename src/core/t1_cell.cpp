@@ -4,16 +4,18 @@
 
 namespace t1sfq {
 
-std::optional<T1PortFn> classify_t1_function(const TruthTable& f) {
-  if (f.num_vars() != 3 || f.support_size() != 3) {
+std::optional<T1PortFn> classify_t1_function(uint64_t word, unsigned num_vars) {
+  if (num_vars != 3) {
     return std::nullopt;
   }
-  if (f == tt3::xor3()) return T1PortFn::Sum;
-  if (f == tt3::maj3()) return T1PortFn::Carry;
-  if (f == tt3::or3()) return T1PortFn::Or;
-  if (f == tt3::minority3()) return T1PortFn::CarryN;
-  if (f == tt3::nor3()) return T1PortFn::OrN;
-  return std::nullopt;
+  switch (word) {
+    case 0x96: return T1PortFn::Sum;
+    case 0xe8: return T1PortFn::Carry;
+    case 0xfe: return T1PortFn::Or;
+    case 0x17: return T1PortFn::CarryN;
+    case 0x01: return T1PortFn::OrN;
+    default: return std::nullopt;
+  }
 }
 
 unsigned t1_area(const CellLibrary& lib, const std::vector<T1PortFn>& ports) {

@@ -21,15 +21,17 @@
 #include <optional>
 
 #include "network/network.hpp"
-#include "network/truth_table.hpp"
 #include "sfq/cell_library.hpp"
 
 namespace t1sfq {
 
-/// Matches a 3-variable cut function against the T1 output set. The function
-/// must depend on all three leaves (a don't-care leaf would still inject
-/// pulses into the storage loop and corrupt the count).
-std::optional<T1PortFn> classify_t1_function(const TruthTable& f);
+/// Matches a cut function, given as its truth-table word over \p num_vars
+/// variables (bit m = value on minterm m), against the T1 output set. Only
+/// 3-variable functions match, and only the five tables 0x96 (S), 0xe8 (C),
+/// 0xfe (Q), 0x17 (C*) and 0x01 (Q*); each depends on all three leaves (a
+/// don't-care leaf would still inject pulses into the storage loop and
+/// corrupt the count).
+std::optional<T1PortFn> classify_t1_function(uint64_t word, unsigned num_vars);
 
 /// JJ cost of a T1 realization providing the given set of ports
 /// (body + one appended inverter per negated port).

@@ -246,21 +246,21 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
   std::map<std::array<NodeId, 3>, std::vector<Match>> groups;
   for (const NodeId id : net.topo_order()) {
     if (!is_candidate_root(net.node(id).type)) continue;
-    for (const Cut& cut : cuts[id].cuts()) {
-      if (cut.leaves.size() != 3) continue;
+    for (const Cut& cut : cuts[id]) {
+      if (cut.num_leaves != 3) continue;
       // A constant leaf would inject its fixed value as pulses into the
       // storage loop — phase assignment rejects such bodies outright (the
       // cut function can still formally depend on the leaf, so the support
       // check alone does not catch this).
-      const bool const_leaf = std::any_of(
-          cut.leaves.begin(), cut.leaves.end(), [&](NodeId leaf) {
-            const GateType t = net.node(leaf).type;
-            return t == GateType::Const0 || t == GateType::Const1;
-          });
+      const auto leaves = cut.leaves();
+      const bool const_leaf = std::any_of(leaves.begin(), leaves.end(), [&](NodeId leaf) {
+        const GateType t = net.node(leaf).type;
+        return t == GateType::Const0 || t == GateType::Const1;
+      });
       if (const_leaf) continue;
-      const auto fn = classify_t1_function(cut.function);
+      const auto fn = classify_t1_function(cut.function, cut.num_leaves);
       if (!fn) continue;
-      const std::array<NodeId, 3> key{cut.leaves[0], cut.leaves[1], cut.leaves[2]};
+      const std::array<NodeId, 3> key{leaves[0], leaves[1], leaves[2]};
       auto& bucket = groups[key];
       if (std::none_of(bucket.begin(), bucket.end(),
                        [&](const Match& m) { return m.root == id; })) {

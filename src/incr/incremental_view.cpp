@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <limits>
 
 #include "core/phase_assignment.hpp"
@@ -76,7 +77,7 @@ void IncrementalView::rebuild() {
   stage_.assign(n, 0);
   fanout_.assign(n, 0);
   consumers_.assign(n, {});
-  po_refs_.assign(n, 0);
+  po_slots_.assign(n, {});
   in_stage_queue_.assign(n, 0);
   in_spine_dirty_.assign(n, 0);
   in_t1_dirty_.assign(n, 0);
@@ -100,8 +101,9 @@ void IncrementalView::rebuild() {
     }
   }
   output_stage_ = 1;
-  for (const NodeId po : net_.pos()) {
-    ++po_refs_[po];
+  for (std::size_t i = 0; i < net_.pos().size(); ++i) {
+    const NodeId po = net_.pos()[i];
+    po_slots_[po].push_back(i);
     ++fanout_[po];
     output_stage_ = std::max<Stage>(output_stage_, stage_[po] + 1);
   }
@@ -181,7 +183,13 @@ void IncrementalView::rebind_after_cleanup(const std::vector<NodeId>& old_to_new
 
   remap_stage(stage_);
   remap_u32(fanout_);
-  remap_u32(po_refs_);
+  {
+    std::vector<std::vector<std::size_t>> fresh(n);
+    for (NodeId o = 0; o < old_n && o < po_slots_.size(); ++o) {
+      if (old_to_new[o] != kNullNode) fresh[old_to_new[o]] = std::move(po_slots_[o]);
+    }
+    po_slots_ = std::move(fresh);
+  }
   {
     std::vector<std::vector<NodeId>> fresh(n);
     for (NodeId o = 0; o < old_n && o < consumers_.size(); ++o) {
@@ -315,14 +323,14 @@ std::vector<NodeId> IncrementalView::plan_consumers(NodeId key) const {
       out.push_back(c);
     }
   }
-  for (uint32_t r = 0; r < (key < po_refs_.size() ? po_refs_[key] : 0); ++r) {
+  for (std::size_t r = 0; r < (key < po_slots_.size() ? po_slots_[key].size() : 0); ++r) {
     out.push_back(kNullNode);
   }
   return out;
 }
 
 Stage IncrementalView::plan_spine_on(NodeId key, const std::vector<Stage>& stages,
-                                     Stage sink) const {
+                                     Stage sink, NodeId skip) const {
   if (is_const_type(net_.node(resolve_producer(net_, key)).type)) {
     return 0;
   }
@@ -331,7 +339,7 @@ Stage IncrementalView::plan_spine_on(NodeId key, const std::vector<Stage>& stage
   Stage req = 0;
   for (const NodeId c : consumers(key)) {
     const Node& cn = net_.node(c);
-    if (cn.type == GateType::T1Port) continue;
+    if (cn.type == GateType::T1Port || c == skip) continue;
     if (cn.type == GateType::T1) {
       const auto slots = t1_slot_perm(net_, stages, c, n);
       for (unsigned i = 0; i < 3; ++i) {
@@ -389,12 +397,13 @@ void IncrementalView::propagate() {
     if (net_.is_dead(u)) continue;
     const Stage fresh = compute_stage(u);
     if (fresh == stage_[u]) continue;
+    // A PO moves the output stage only by rising above it or leaving it.
+    if (!po_slots_[u].empty() && (fresh + 1 > output_stage_ || stage_[u] + 1 == output_stage_)) {
+      output_stage_dirty_ = true;
+    }
     stage_[u] = fresh;
     seed_alap_dirty(u);  // the ASAP clamp of u's ALAP moved with it
     touch_spine_around(u);
-    if (po_refs_[u] > 0) {
-      output_stage_dirty_ = true;
-    }
     for (const NodeId c : consumers_[u]) {
       seed_stage_dirty(c);
     }
@@ -436,7 +445,7 @@ void IncrementalView::sync() {
   stage_.resize(n, 0);
   fanout_.resize(n, 0);
   consumers_.resize(n);
-  po_refs_.resize(n, 0);
+  po_slots_.resize(n);
   in_stage_queue_.resize(n, 0);
   in_spine_dirty_.resize(n, 0);
   in_t1_dirty_.resize(n, 0);
@@ -527,9 +536,18 @@ void IncrementalView::move_edges(NodeId from, NodeId to,
       assert(net_.pos()[i] == from);
       net_.set_po(i, to);
     }
+    // Splice the (ascending) indices from one sorted slot list to the other.
+    assert(std::is_sorted(po_indices.begin(), po_indices.end()));
+    std::vector<std::size_t>& src = po_slots_[from];
+    std::vector<std::size_t>& dst = po_slots_[to];
+    std::vector<std::size_t> kept, merged;
+    std::set_difference(src.begin(), src.end(), po_indices.begin(), po_indices.end(),
+                        std::back_inserter(kept));
+    std::merge(dst.begin(), dst.end(), po_indices.begin(), po_indices.end(),
+               std::back_inserter(merged));
+    src = std::move(kept);
+    dst = std::move(merged);
     const uint32_t refs = static_cast<uint32_t>(po_indices.size());
-    po_refs_[from] -= refs;
-    po_refs_[to] += refs;
     fanout_[from] -= refs;
     fanout_[to] += refs;
     if (track_plan_) {
@@ -538,7 +556,10 @@ void IncrementalView::move_edges(NodeId from, NodeId to,
         if (split_fanout_[to]++ > 0) ++split_edges_excess_;
       }
     }
-    output_stage_dirty_ = true;
+    // The output stage moves only if `to` lands above it or `from` held it.
+    if (stage_[to] + 1 > output_stage_ || stage_[from] + 1 == output_stage_) {
+      output_stage_dirty_ = true;
+    }
   }
   mark_spine_dirty(from);
   mark_spine_dirty(to);
@@ -561,12 +582,7 @@ IncrementalView::ReplaceUndo IncrementalView::replace(NodeId oldNode, NodeId new
     return undo;
   }
   undo.moved = consumers_[oldNode];
-  const auto& pos = net_.pos();
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    if (pos[i] == oldNode) {
-      undo.po_indices.push_back(i);
-    }
-  }
+  undo.po_indices = po_slots_[oldNode];
   move_edges(oldNode, newNode, undo.moved, undo.po_indices);
   return undo;
 }
@@ -659,7 +675,7 @@ std::vector<NodeId> IncrementalView::kill_cone(const std::vector<NodeId>& cone) 
     for (uint8_t f = 0; f < n.num_fanins; ++f) {
       const NodeId fi = n.fanin(f);
       const GateType t = net_.node(fi).type;
-      if (net_.is_dead(fi) || fanout_[fi] != 0 || po_refs_[fi] != 0 ||
+      if (net_.is_dead(fi) || fanout_[fi] != 0 || !po_slots_[fi].empty() ||
           t == GateType::Pi || t == GateType::Const0 || t == GateType::Const1) {
         continue;
       }
@@ -713,7 +729,7 @@ void IncrementalView::kill_dangling_from(NodeId from) {
   while (again) {
     again = false;
     for (NodeId id = static_cast<NodeId>(net_.size()); id-- > from;) {
-      if (net_.is_dead(id) || fanout_[id] != 0 || po_refs_[id] != 0) {
+      if (net_.is_dead(id) || fanout_[id] != 0 || !po_slots_[id].empty()) {
         continue;
       }
       net_.mark_dead(id);
@@ -781,7 +797,7 @@ JJBreakdown IncrementalView::estimate() const {
 /// sweep from this recurrence at `output_slack` 0, so it must never
 /// under-report a move window (tests pin that scheduler to the full sweep).
 Stage IncrementalView::compute_alap(NodeId id) const {
-  Stage hi = po_refs_[id] > 0 ? output_stage_ - 1 : kInfStage;
+  Stage hi = po_slots_[id].empty() ? kInfStage : output_stage_ - 1;
   for (const NodeId c : consumers_[id]) {
     const Node& cn = net_.node(c);
     if (cn.type == GateType::T1Port) {

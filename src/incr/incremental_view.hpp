@@ -99,7 +99,7 @@ public:
   }
   const std::vector<uint32_t>& fanouts() const { return fanout_; }
   const std::vector<NodeId>& consumers(NodeId id) const;
-  bool is_po(NodeId id) const { return id < po_refs_.size() && po_refs_[id] > 0; }
+  bool is_po(NodeId id) const { return id < po_slots_.size() && !po_slots_[id].empty(); }
   Stage output_stage() const { return output_stage_; }
 
   /// Query spine under the maintained stages: max over \p driver's consumers
@@ -131,8 +131,11 @@ public:
   /// Recomputes the plan spine of \p key on \p stages (any feasible stage
   /// vector over this network with T1 taps aliased to their body, e.g. a
   /// scheduler or refiner assignment) and the balanced-output sink \p sink,
-  /// instead of the maintained ASAP stages and output stage.
-  Stage plan_spine_on(NodeId key, const std::vector<Stage>& stages, Stage sink) const;
+  /// instead of the maintained ASAP stages and output stage. Consumer
+  /// \p skip, when given, is left out: a scheduler move prices its own edge
+  /// separately.
+  Stage plan_spine_on(NodeId key, const std::vector<Stage>& stages, Stage sink,
+                      NodeId skip = kNullNode) const;
   /// Dedicated landing DFFs of T1 body \p t1 on \p stages.
   int64_t t1_dedicated_on(NodeId t1, const std::vector<Stage>& stages) const;
 
@@ -246,7 +249,9 @@ private:
   std::vector<Stage> stage_;
   std::vector<uint32_t> fanout_;
   std::vector<std::vector<NodeId>> consumers_;
-  std::vector<uint32_t> po_refs_;  ///< PO references per node
+  /// The PO indices each node drives, ascending: replace() moves a driver's
+  /// POs without scanning the PO list.
+  std::vector<std::vector<std::size_t>> po_slots_;
   Stage output_stage_ = 1;
   bool output_stage_dirty_ = false;
 

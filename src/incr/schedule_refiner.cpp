@@ -1,6 +1,8 @@
 #include "incr/schedule_refiner.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <limits>
 #include <unordered_set>
 
@@ -86,8 +88,37 @@ bool descend_stage(const IncrementalView& view, std::vector<Stage>& stage, Stage
   }
 
   gather_scope(view, u, scope);
+  // With no T1 in scope (u is no body and feeds none), every spine u's stage
+  // enters is priced from quantities fixed for the whole window: u's own
+  // spine spans the edge to its latest timed consumer (dffs_on_edge grows
+  // with the consumer stage), and each fanin pin's spine is the larger of
+  // u's edge and the spine of its other consumers.
+  const bool plain = scope.t1s.empty();
+  Stage own_latest = -kInf;  // no timed consumer: every edge prices 0
+  std::array<std::pair<Stage, Stage>, 3> fanin_pins{};  // (pin stage, spine without u)
+  std::size_t num_fanin_pins = 0;
+  if (plain) {
+    for_each_timed_consumer(view, u, [&](NodeId c) {
+      own_latest = std::max(own_latest, c == kNullNode ? sink : stage[c]);
+    });
+    for (const NodeId p : scope.pins) {
+      const GateType driver = net.node(resolve_producer(net, p)).type;
+      if (p == u || driver == GateType::Const0 || driver == GateType::Const1) continue;
+      assert(num_fanin_pins < fanin_pins.size());
+      fanin_pins[num_fanin_pins++] = {stage[p], view.plan_spine_on(p, stage, sink, u)};
+    }
+  }
+  const MultiphaseConfig& clk = view.model().clk();
   const auto scope_cost = [&] {
     int64_t c = 0;
+    if (plain) {
+      c += clk.dffs_on_edge(stage[u], own_latest);
+      for (std::size_t i = 0; i < num_fanin_pins; ++i) {
+        const auto [pin_stage, rest] = fanin_pins[i];
+        c += std::max(rest, clk.dffs_on_edge(pin_stage, stage[u]));
+      }
+      return c;
+    }
     for (const NodeId p : scope.pins) {
       c += view.plan_spine_on(p, stage, sink);
     }

@@ -73,8 +73,10 @@ struct StageScope {
 /// end. Each candidate is priced as `plan_spine_on` + `t1_dedicated_on` over
 /// the pins and T1 bodies u's stage enters (the pins of u, its fanin pins and
 /// every fanin pin of a T1 it touches); the cheapest wins, ties going to the
-/// current stage, then to the lower stage. Moves u (and its taps) there and
-/// returns true when it changed; \p scope then holds what the move priced.
+/// current stage, then to the lower stage. With no T1 in scope, a fanin
+/// pin's consumers other than u are priced once per move, not per
+/// candidate. Moves u (and its taps) there and returns true when it changed;
+/// \p scope then holds what the move priced.
 bool descend_stage(const IncrementalView& view, std::vector<Stage>& stage, Stage sink,
                    NodeId u, StageScope& scope);
 

@@ -15,8 +15,15 @@ std::vector<NodeId> mffc(const Network& net, NodeId root,
     return {};
   }
 
-  // Local copy of reference counts we can decrement without mutating the net.
-  std::vector<uint32_t> refs = fanout_counts;
+  // References released so far, per node, in scratch that holds zeros
+  // between calls: the walk touches only the counts it reaches and resets
+  // them before returning, so a call costs its cone, not the network. One
+  // copy per thread, because partition shards run optimize() concurrently.
+  thread_local std::vector<uint32_t> released;
+  thread_local std::vector<NodeId> touched;
+  if (released.size() < fanout_counts.size()) {
+    released.resize(fanout_counts.size(), 0);
+  }
   std::vector<NodeId> cone;
   std::vector<NodeId> stack{root};
   cone.push_back(root);
@@ -38,12 +45,19 @@ std::vector<NodeId> mffc(const Network& net, NodeId root,
       if (is_boundary(f)) {
         continue;
       }
-      if (--refs[f] == 0) {
+      if (released[f]++ == 0) {
+        touched.push_back(f);
+      }
+      if (released[f] == fanout_counts[f]) {
         cone.push_back(f);
         stack.push_back(f);
       }
     }
   }
+  for (const NodeId id : touched) {
+    released[id] = 0;
+  }
+  touched.clear();
   return cone;
 }
 

@@ -20,7 +20,10 @@ namespace t1sfq {
 ///
 /// Algorithm: simulated reference-count dereferencing — recursively
 /// decrement fanin references from the root; a node joins the cone when its
-/// count reaches zero (i.e. all its fanouts are inside the cone).
+/// count reaches zero (i.e. all its fanouts are inside the cone). The
+/// decrements live in per-thread scratch and touch only the nodes the walk
+/// reaches, so a call costs its cone, not the network, and concurrent calls
+/// from different threads are safe.
 std::vector<NodeId> mffc(const Network& net, NodeId root,
                          const std::vector<uint32_t>& fanout_counts,
                          const std::vector<NodeId>& leaves = {});

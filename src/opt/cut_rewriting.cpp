@@ -32,8 +32,7 @@ std::size_t CutRewritingPass::run(Network& net) {
   CutEnumerationParams cp;
   cp.cut_size = kCutSize;
   cp.max_cuts = kMaxCuts;
-  cp.compute_functions = true;
-  const std::vector<CutSet> cuts = enumerate_cuts(net, cp);
+  const NetworkCuts cuts = enumerate_cuts(net, cp);
 
   // All analysis state lives in the incremental view: commits land through
   // `view.replace` and only the affected cone is re-derived (the legacy flag
@@ -70,14 +69,14 @@ std::size_t CutRewritingPass::run(Network& net) {
     };
     std::optional<Candidate> best;
 
-    for (const Cut& cut : cuts[root].cuts()) {
-      if (cut.is_trivial() || cut.leaves.size() < 2) continue;
-      std::vector<NodeId> leaves(cut.leaves.size());
-      for (std::size_t i = 0; i < cut.leaves.size(); ++i) {
-        leaves[i] = resolve(cut.leaves[i]);
-      }
-      const auto match = db.match(cut.function);
+    for (const Cut& cut : cuts[root]) {
+      if (cut.num_leaves < 2) continue;
+      const auto match = db.match(cut.function, cut.num_leaves);
       if (!match) continue;
+      std::vector<NodeId> leaves(cut.num_leaves);
+      for (std::size_t i = 0; i < leaves.size(); ++i) {
+        leaves[i] = resolve(cut.leaf_ids[i]);
+      }
 
       const std::vector<NodeId> cone = mffc(net, root, cd.fanouts(), leaves);
       // Pre-mapping networks hold plain gates only, but never touch a cone

@@ -111,9 +111,8 @@ OptSummary optimize(Network& net, const CostModel& model, const OptParams& param
   if (!params.enable || net.num_gates() == 0) {
     const NetworkMeasure m = model.measure_network(net);
     OptSummary summary;
-    summary.gates_before = summary.gates_after = m.gates;
-    summary.depth_before = summary.depth_after = m.depth;
-    summary.jj_before = summary.jj_after = m.jj;
+    record_before(summary, m);
+    record_after(summary, m);
     return summary;
   }
   if (params.partition_jobs > 0) {

@@ -555,12 +555,15 @@ std::optional<unsigned> RewriteDb::cost(uint16_t func) const {
   return entries_[func].cost;
 }
 
-std::optional<RewriteMatch> RewriteDb::match(const TruthTable& f) const {
-  if (f.num_vars() > 4) {
+std::optional<RewriteMatch> RewriteDb::match(uint64_t word, unsigned num_vars) const {
+  if (num_vars > 4) {
     return std::nullopt;
   }
-  const uint16_t target =
-      static_cast<uint16_t>((f.num_vars() == 4 ? f : f.extend_to(4)).word(0));
+  word &= (uint64_t{1} << (1u << num_vars)) - 1;
+  for (unsigned v = num_vars; v < 4; ++v) {
+    word |= word << (1u << v);  // the added variables are don't-cares
+  }
+  const uint16_t target = static_cast<uint16_t>(word);
 
   if (entries_[target].cost != kUnsettled) {
     RewriteMatch m;

@@ -95,9 +95,10 @@ public:
   /// Cheapest known structure JJ for \p func, or nullopt when unexplored.
   std::optional<unsigned> cost(uint16_t func) const;
 
-  /// Matches \p f (at most 4 variables; smaller functions are zero-extended).
-  /// Exact table lookup first, NPN-class fallback second.
-  std::optional<RewriteMatch> match(const TruthTable& f) const;
+  /// Matches the function whose truth-table word over \p num_vars variables
+  /// (at most 4; smaller functions are zero-extended) is \p word. Exact
+  /// table lookup first, NPN-class fallback second.
+  std::optional<RewriteMatch> match(uint64_t word, unsigned num_vars) const;
 
   /// Materializes a match over \p leaves (indexed by the match's input_leaf)
   /// in \p net and returns the structure's root. Structural hashing in

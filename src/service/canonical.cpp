@@ -1,9 +1,43 @@
 #include "service/canonical.hpp"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace t1sfq::service {
+
+namespace {
+
+/// FNV-1a fed piece by piece: the hash of the text the pieces spell, without
+/// building that text.
+class Fnv1aStream {
+ public:
+  Fnv1aStream& operator<<(std::string_view s) {
+    for (const char c : s) put(c);
+    return *this;
+  }
+  Fnv1aStream& operator<<(char c) {
+    put(c);
+    return *this;
+  }
+  /// Decimal digits of \p v, as `std::ostream << v` prints them.
+  Fnv1aStream& num(uint64_t v) {
+    char buf[20];
+    const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+    return *this << std::string_view(buf, static_cast<std::size_t>(end - buf));
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  void put(char c) {
+    h_ ^= static_cast<uint8_t>(c);
+    h_ *= 0x100000001b3ull;
+  }
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+}  // namespace
 
 uint64_t fnv1a(const std::string& data, uint64_t h) {
   for (const char c : data) {
@@ -14,31 +48,36 @@ uint64_t fnv1a(const std::string& data, uint64_t h) {
 }
 
 uint64_t exact_signature(const Network& net) {
-  std::ostringstream ss;
-  ss << "net:" << net.name() << '\n';
-  ss << "pi:";
+  // Hashes the text "net:<name>\npi: <id>=<name>...\n<id>:<type>[.<port>]
+  // <fanin>...\n...po: <id>=<name>...\n" (live nodes only).
+  Fnv1aStream h;
+  h << "net:" << net.name() << '\n';
+  h << "pi:";
   for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    ss << ' ' << net.pi(i) << '=' << net.pi_name(i);
+    h << ' ';
+    h.num(net.pi(i)) << '=' << net.pi_name(i);
   }
-  ss << '\n';
+  h << '\n';
   for (NodeId id = 0; id < net.size(); ++id) {
     if (net.is_dead(id)) continue;
     const Node& n = net.node(id);
-    ss << id << ':' << to_string(n.type);
+    h.num(id) << ':' << to_string(n.type);
     if (n.type == GateType::T1Port) {
-      ss << '.' << to_string(n.port);
+      h << '.' << to_string(n.port);
     }
     for (uint8_t i = 0; i < n.num_fanins; ++i) {
-      ss << ' ' << n.fanin(i);
+      h << ' ';
+      h.num(n.fanin(i));
     }
-    ss << '\n';
+    h << '\n';
   }
-  ss << "po:";
+  h << "po:";
   for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    ss << ' ' << net.po(i) << '=' << net.po_name(i);
+    h << ' ';
+    h.num(net.po(i)) << '=' << net.po_name(i);
   }
-  ss << '\n';
-  return fnv1a(ss.str());
+  h << '\n';
+  return h.value();
 }
 
 std::string canonical_text(const PhysicalNetlist& phys) {

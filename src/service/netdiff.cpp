@@ -1,6 +1,6 @@
 #include "service/netdiff.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "network/simulation.hpp"
 
@@ -20,19 +20,6 @@ uint64_t mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-/// Per-node accumulated simulation signature over `pi_words[w][i]` rounds.
-std::vector<uint64_t> node_signatures(const Network& net,
-                                      const std::vector<std::vector<uint64_t>>& pi_words) {
-  std::vector<uint64_t> acc(net.size(), 0xcbf29ce484222325ull);
-  for (const auto& words : pi_words) {
-    const std::vector<uint64_t> values = simulate_all_words(net, words);
-    for (NodeId id = 0; id < net.size(); ++id) {
-      acc[id] = mix(acc[id], values[id]);
-    }
-  }
-  return acc;
-}
-
 /// Key grouping nodes that could possibly correspond: signature + cell kind.
 uint64_t match_key(uint64_t sig, const Node& n) {
   uint64_t h = mix(sig, static_cast<uint64_t>(n.type));
@@ -45,10 +32,49 @@ bool same_kind(const Node& a, const Node& b) {
          (a.type != GateType::T1Port || a.port == b.port);
 }
 
+/// Nodes grouped by a 64-bit key: (key, node) pairs sorted, so the nodes of
+/// one key are a contiguous run in ascending id order.
+class KeyIndex {
+ public:
+  void add(uint64_t key, NodeId n) { entries_.push_back({key, n}); }
+  void finish() { std::sort(entries_.begin(), entries_.end()); }
+
+  /// Calls \p f on every node filed under \p key, in ascending id order.
+  template <typename F>
+  void for_each(uint64_t key, F&& f) const {
+    auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                               std::pair<uint64_t, NodeId>{key, 0});
+    for (; it != entries_.end() && it->first == key; ++it) f(it->second);
+  }
+
+ private:
+  std::vector<std::pair<uint64_t, NodeId>> entries_;
+};
+
 }  // namespace
 
-NetDiff diff_networks(const Network& base, const Network& edited,
-                      unsigned sim_words, uint64_t seed) {
+std::vector<uint64_t> node_signatures(const Network& net) {
+  constexpr unsigned kSimWords = 8;
+  const std::vector<NodeId> order = net.topo_order();
+  std::vector<uint64_t> acc(net.size(), 0xcbf29ce484222325ull);
+  std::vector<uint64_t> words(net.num_pis());
+  uint64_t state = 0x0d1ff5eed;  // fixed seed: both sides see the same patterns
+  for (unsigned w = 0; w < kSimWords; ++w) {
+    for (auto& word : words) word = splitmix64(state);
+    const std::vector<uint64_t> values = simulate_all_words(net, words, order);
+    for (NodeId id = 0; id < net.size(); ++id) {
+      acc[id] = mix(acc[id], values[id]);
+    }
+  }
+  return acc;
+}
+
+NetDiff diff_networks(const Network& base, const Network& edited) {
+  return diff_networks(base, node_signatures(base), edited, node_signatures(edited));
+}
+
+NetDiff diff_networks(const Network& base, const std::vector<uint64_t>& sig_old,
+                      const Network& edited, const std::vector<uint64_t>& sig_new) {
   NetDiff d;
   d.old_to_new.assign(base.size(), kNullNode);
   d.new_to_old.assign(edited.size(), kNullNode);
@@ -75,34 +101,24 @@ NetDiff diff_networks(const Network& base, const Network& edited,
   }
 
   // --- Signature-anchored candidate matching --------------------------------
-  std::vector<std::vector<uint64_t>> pi_words(sim_words);
-  uint64_t state = seed;
-  for (auto& words : pi_words) {
-    words.resize(base.num_pis());
-    for (auto& w : words) w = splitmix64(state);
-  }
-  const std::vector<uint64_t> sig_old = node_signatures(base, pi_words);
-  const std::vector<uint64_t> sig_new = node_signatures(edited, pi_words);
-
-  std::unordered_map<uint64_t, std::vector<NodeId>> buckets;
+  KeyIndex buckets;
   for (NodeId n = 0; n < edited.size(); ++n) {
     if (edited.is_dead(n) || edited.node(n).type == GateType::Pi) continue;
-    buckets[match_key(sig_new[n], edited.node(n))].push_back(n);
+    buckets.add(match_key(sig_new[n], edited.node(n)), n);
   }
+  buckets.finish();
 
   // Old nodes in id order: fanins are visited before fanouts, so the
   // fanin-correspondence score below sees settled matches.
   for (NodeId o = 0; o < base.size(); ++o) {
     if (base.is_dead(o) || base.node(o).type == GateType::Pi) continue;
     const Node& no = base.node(o);
-    const auto it = buckets.find(match_key(sig_old[o], no));
-    if (it == buckets.end()) continue;
     NodeId best = kNullNode;
     int best_score = -1;
-    for (const NodeId n : it->second) {
-      if (d.new_to_old[n] != kNullNode) continue;
+    buckets.for_each(match_key(sig_old[o], no), [&](NodeId n) {
+      if (d.new_to_old[n] != kNullNode) return;
       const Node& nn = edited.node(n);
-      if (!same_kind(no, nn)) continue;  // hash-collision guard
+      if (!same_kind(no, nn)) return;  // hash-collision guard
       int score = 0;
       for (uint8_t s = 0; s < no.num_fanins; ++s) {
         if (d.old_to_new[no.fanin(s)] == nn.fanin(s)) ++score;
@@ -111,7 +127,7 @@ NetDiff diff_networks(const Network& base, const Network& edited,
         best_score = score;
         best = n;
       }
-    }
+    });
     if (best != kNullNode) match(o, best);
   }
 
@@ -133,13 +149,14 @@ NetDiff diff_networks(const Network& base, const Network& edited,
       for (uint8_t s = 0; s < n.num_fanins; ++s) h = mix(h, n.fanin(s));
       return h;
     };
-    std::unordered_map<uint64_t, std::vector<NodeId>> by_fanins;
+    KeyIndex by_fanins;
     for (NodeId n = 0; n < edited.size(); ++n) {
       if (edited.is_dead(n) || d.new_to_old[n] != kNullNode) continue;
       const Node& nn = edited.node(n);
       if (nn.type == GateType::Pi || nn.num_fanins == 0) continue;
-      by_fanins[fanin_key(nn)].push_back(n);
+      by_fanins.add(fanin_key(nn), n);
     }
+    by_fanins.finish();
     for (NodeId o = 0; o < base.size(); ++o) {
       if (base.is_dead(o)) continue;
       if (d.old_to_new[o] != kNullNode) {
@@ -156,19 +173,17 @@ NetDiff diff_networks(const Network& base, const Network& edited,
         image.fanins[s] = f;
       }
       if (!determined) continue;
-      const auto it = by_fanins.find(fanin_key(image));
-      if (it == by_fanins.end()) continue;
       NodeId same = kNullNode, other = kNullNode;
       unsigned same_count = 0, other_count = 0;
-      for (const NodeId n : it->second) {
-        if (d.new_to_old[n] != kNullNode) continue;
+      by_fanins.for_each(fanin_key(image), [&](NodeId n) {
+        if (d.new_to_old[n] != kNullNode) return;
         const Node& nn = edited.node(n);
-        if (nn.num_fanins != no.num_fanins) continue;
+        if (nn.num_fanins != no.num_fanins) return;
         bool exact = true;
         for (uint8_t s = 0; exact && s < no.num_fanins; ++s) {
           exact = nn.fanin(s) == image.fanins[s];
         }
-        if (!exact) continue;
+        if (!exact) return;
         if (same_kind(no, nn)) {
           same = n;
           ++same_count;
@@ -176,7 +191,7 @@ NetDiff diff_networks(const Network& base, const Network& edited,
           other = n;
           ++other_count;
         }
-      }
+      });
       if (same_count == 1) {
         match(o, same);
         phi[o] = same;

@@ -56,10 +56,18 @@ struct NetDiff {
   }
 };
 
-/// Diffs \p base against \p edited (see file comment). \p sim_words controls
-/// the signature width (64 random patterns per word); more words reduce the
-/// chance that functionally aliased nodes need the structural tie-break.
-NetDiff diff_networks(const Network& base, const Network& edited,
-                      unsigned sim_words = 8, uint64_t seed = 0x0d1ff5eed);
+/// Per-node simulation signatures the matching anchors on: eight rounds of
+/// 64 fixed-seed random patterns per PI, folded per node (enough words that
+/// functionally aliased nodes rarely need the structural tie-break). A
+/// caller diffing many edits against one base signs it once.
+std::vector<uint64_t> node_signatures(const Network& net);
+
+/// Diffs \p base against \p edited (see file comment).
+NetDiff diff_networks(const Network& base, const Network& edited);
+
+/// Same, with both networks' `node_signatures` already computed.
+NetDiff diff_networks(const Network& base, const std::vector<uint64_t>& base_signatures,
+                      const Network& edited,
+                      const std::vector<uint64_t>& edited_signatures);
 
 }  // namespace t1sfq::service

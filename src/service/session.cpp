@@ -43,11 +43,11 @@ const char* to_string(EcoFallback fallback) {
   return "none";
 }
 
-/// The session's flow state: the result of run_flow's logical half (its
-/// `mapped` network is where ECO patches land) and the view pinned to that
-/// network. Heap-held (unique_ptr) so the view's Network& stays valid for the
-/// session's lifetime; the view is destroyed before the result by member
-/// order.
+/// The session's flow state: the result of run_flow (its `mapped` network is
+/// where ECO patches land, its `physical` netlist is the last served one) and
+/// the view pinned to the mapped network. Heap-held (unique_ptr) so the view's
+/// Network& stays valid for the session's lifetime; the view is destroyed
+/// before the result by member order.
 struct EcoSession::State {
   FlowResult result;
   std::optional<IncrementalView> view;
@@ -55,11 +55,6 @@ struct EcoSession::State {
 
 EcoSession::EcoSession(std::string id) : id_(std::move(id)) {}
 EcoSession::~EcoSession() = default;
-
-std::string EcoSession::last_canonical() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_canon_;
-}
 
 SessionServe EcoSession::serve(const FlowRequest& request, const SessionConfig& cfg) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -83,7 +78,8 @@ SessionServe EcoSession::serve(const FlowRequest& request, const SessionConfig& 
         out.response = last_;
         out.response.tier = FlowTier::Warm;
       } else {
-        const NetDiff d = diff_networks(base_, clean);
+        std::vector<uint64_t> clean_signatures = node_signatures(clean);
+        const NetDiff d = diff_networks(base_, base_signatures_, clean, clean_signatures);
         const EcoFallback why = eligibility_(d, clean, cfg);
         if (why != EcoFallback::None) {
           out.fallback = why;
@@ -97,10 +93,11 @@ SessionServe EcoSession::serve(const FlowRequest& request, const SessionConfig& 
           out.response.tier = FlowTier::Warm;
         } else {
           apply_eco_(d, clean, out.response);
+          base_signatures_ = std::move(clean_signatures);  // clean is the new base
           last_key_ = key;
           if (cfg.verify) {
             const FlowResult cold = run_flow(base_, params_);
-            if (canonical_text(cold.physical) != last_canon_) {
+            if (canonical_text(cold.physical) != canonical_text(state_->result.physical)) {
               out.fallback = EcoFallback::Mismatch;
               establish_(request, out.response);
             }
@@ -109,7 +106,7 @@ SessionServe EcoSession::serve(const FlowRequest& request, const SessionConfig& 
       }
     }
     out.response.cache_key = last_key_;
-    out.response.netlist_blif = request.return_netlist ? last_netlist_ : std::string();
+    out.response.netlist_blif = request.return_netlist ? netlist_blif_() : std::string();
   } catch (const std::exception& e) {
     established_ = false;  // state may be half-updated; next request rebuilds
     out.response = FlowResponse{};
@@ -139,10 +136,15 @@ void EcoSession::establish_(const FlowRequest& request, FlowResponse& resp) {
 
   if (eco_capable_) {
     // Recover the base→mapped correspondence: to the matcher, the T1 rewrite
-    // is just a set of replacements, so surviving nodes pair up exactly.
-    base_map_ = diff_networks(base_, state_->result.mapped).old_to_new;
+    // is just a set of replacements, so surviving nodes pair up exactly. The
+    // base's signatures are kept for diffing the next edit against it.
+    base_signatures_ = node_signatures(base_);
+    const Network& mapped = state_->result.mapped;
+    base_map_ =
+        diff_networks(base_, base_signatures_, mapped, node_signatures(mapped)).old_to_new;
   } else {
     base_map_.clear();
+    base_signatures_.clear();
   }
   last_key_ = request_key(config_sig_, base_);
   resp.cache_key = last_key_;
@@ -280,6 +282,7 @@ void EcoSession::apply_eco_(const NetDiff& d, Network& clean, FlowResponse& resp
 
 void EcoSession::finish_flow_(Clock::time_point t_start, FlowResponse& resp) {
   FlowResult& res = state_->result;
+  last_netlist_.clear();  // describes the previous physical netlist
   run_physical_flow(base_, params_, res, *state_->view);
   res.timings.total_ms = ms_since(t_start);
 
@@ -289,17 +292,21 @@ void EcoSession::finish_flow_(Clock::time_point t_start, FlowResponse& resp) {
   resp.metrics = res.metrics;
   resp.timings = res.timings;
 
-  std::ostringstream blif;
-  write_blif(res.physical.net, blif);
-  last_netlist_ = blif.str();
-  last_canon_ = canonical_text(res.physical);
-  // The next serve needs only the logical state: drop the physical netlist
-  // and its schedule once they are serialized.
-  res.physical = PhysicalNetlist{};
+  // The physical netlist carries its own stages: the assignment is not
+  // needed again.
   res.assignment = PhaseAssignment{};
   last_ = resp;
   last_.netlist_blif.clear();
   obs::count("service.session.flows");
+}
+
+const std::string& EcoSession::netlist_blif_() {
+  if (last_netlist_.empty()) {
+    std::ostringstream blif;
+    write_blif(state_->result.physical.net, blif);
+    last_netlist_ = blif.str();
+  }
+  return last_netlist_;
 }
 
 }  // namespace t1sfq::service

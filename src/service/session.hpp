@@ -15,7 +15,9 @@
 /// view survives via `rebind_after_cleanup`. Only the physical half re-runs
 /// (phase assignment seeded from the maintained view state, DFF insertion,
 /// metrics, the physics oracle); the committed T1 detection decisions are
-/// reused. The physical netlist is freed once it has been serialized.
+/// reused. The session holds the last physical netlist and writes its BLIF
+/// only for a request that asks for the netlist (`return_netlist`), so a
+/// serve that does not ask pays no serialization.
 ///
 /// Contract: reusing detection is exact when the edit does not disturb the
 /// detection inputs — the eligibility checks below enforce the structural
@@ -90,12 +92,8 @@ class EcoSession {
   /// failures come back as structured error responses.
   SessionServe serve(const FlowRequest& request, const SessionConfig& cfg);
 
-  /// Canonical form of the last served physical netlist (tests compare this
-  /// against a from-scratch flow's canonical form).
-  std::string last_canonical() const;
-
  private:
-  struct State;  // logical FlowResult + the view pinned to it (session.cpp)
+  struct State;  // FlowResult + the view pinned to its mapped network (session.cpp)
 
   void establish_(const FlowRequest& request, FlowResponse& resp);
   EcoFallback eligibility_(const NetDiff& d, const Network& clean,
@@ -104,6 +102,8 @@ class EcoSession {
   /// Runs the physical half on the held logical state against the base and
   /// records the response (total time measured from \p t_start).
   void finish_flow_(std::chrono::steady_clock::time_point t_start, FlowResponse& resp);
+  /// BLIF of the held physical netlist, written on first use after a flow.
+  const std::string& netlist_blif_();
 
   std::string id_;
   mutable std::mutex mu_;
@@ -115,12 +115,12 @@ class EcoSession {
   FlowParams params_{};
 
   Network base_;                  ///< cleaned pre-detection network
+  std::vector<uint64_t> base_signatures_;  ///< node_signatures(base_) (ECO-capable only)
   std::vector<NodeId> base_map_;  ///< base id → mapped id (kNullNode: absorbed)
-  std::unique_ptr<State> state_;  ///< logical flow result + live view
+  std::unique_ptr<State> state_;  ///< flow result (physical netlist held) + live view
 
   FlowResponse last_;          ///< last successful response (netlist stripped)
-  std::string last_netlist_;   ///< BLIF of the last physical netlist
-  std::string last_canon_;     ///< canonical form of the last physical netlist
+  std::string last_netlist_;   ///< BLIF of the held physical netlist ("": not written)
 };
 
 }  // namespace t1sfq::service

@@ -257,7 +257,7 @@ TEST(RewriteDb, DifferentLibraryReshapesStructureChoices) {
 
   TruthTable f(4);
   f.set_word(0, kXor2);
-  const auto match = db_pricey.match(f);
+  const auto match = db_pricey.match(kXor2, 4);
   ASSERT_TRUE(match.has_value());
   Network net;
   std::vector<NodeId> leaves;
@@ -282,9 +282,7 @@ TEST(RewriteDb, RecordedCostBoundsTheRealizedStructure) {
   std::mt19937_64 rng(99);
   for (int iter = 0; iter < 500; ++iter) {
     const uint16_t func = static_cast<uint16_t>(rng());
-    TruthTable f(4);
-    f.set_word(0, func);
-    const auto m = db.match(f);
+    const auto m = db.match(func, 4);
     if (!m || m->func != func) continue;  // exact entries only
     Network net;
     std::vector<NodeId> leaves;

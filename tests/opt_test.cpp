@@ -34,6 +34,11 @@ Network small_adder(unsigned bits) {
 /// Truth table of a single-PO network over its PIs.
 TruthTable po_function(const Network& net) { return simulate_truth_tables(net)[0]; }
 
+/// Rewrite-DB match of \p f (at most 4 variables).
+std::optional<RewriteMatch> match(const RewriteDb& db, const TruthTable& f) {
+  return db.match(f.word(0), f.num_vars());
+}
+
 // ---------------------------------------------------------------------------
 // RewriteDb
 // ---------------------------------------------------------------------------
@@ -45,12 +50,12 @@ TEST(RewriteDb, SingleCellFunctionsCostTheirMarginal) {
   // its library JJ cost plus the clock share.
   const RewriteDb::Params defaults;
   const TruthTable maj = tt3::maj3().extend_to(4);
-  const auto m = db.match(maj);
+  const auto m = match(db, maj);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->jj_cost, defaults.lib.jj_maj3 + defaults.clock_jj);
   EXPECT_EQ(m->depth, 1u);
   // Projection costs zero JJ.
-  const auto proj = db.match(TruthTable::nth_var(4, 2));
+  const auto proj = match(db, TruthTable::nth_var(4, 2));
   ASSERT_TRUE(proj.has_value());
   EXPECT_EQ(proj->jj_cost, 0u);
 }
@@ -62,7 +67,7 @@ TEST(RewriteDb, InstantiationMatchesTheFunction) {
     const uint16_t func = static_cast<uint16_t>(rng());
     TruthTable f(4);
     f.set_word(0, func);
-    const auto m = db.match(f);
+    const auto m = match(db, f);
     if (!m) continue;
     Network net;
     std::vector<NodeId> leaves;
@@ -88,7 +93,7 @@ TEST(RewriteDb, NpnFallbackBridgesWithInverters) {
     const uint16_t func = static_cast<uint16_t>(rng());
     TruthTable f(4);
     f.set_word(0, func);
-    const auto m = db.match(f);
+    const auto m = match(db, f);
     if (!m) continue;
     const bool bridged = m->output_neg || m->input_neg[0] || m->input_neg[1] ||
                          m->input_neg[2] || m->input_neg[3];
@@ -156,7 +161,7 @@ TEST(RewriteDb, NpnIndexAgreesWithTheCanonizer) {
     if (rng() & 1) {
       f = ~f;
     }
-    EXPECT_TRUE(db.match(f).has_value()) << "0x" << f.to_hex();
+    EXPECT_TRUE(match(db, f).has_value()) << "0x" << f.to_hex();
   }
 }
 
@@ -164,7 +169,7 @@ TEST(RewriteDb, SmallerSupportFunctionsWork) {
   const RewriteDb& db = RewriteDb::instance();
   // 2-variable cut function (xor2) must match and instantiate over 2 leaves.
   TruthTable f = TruthTable::from_binary("0110");
-  const auto m = db.match(f);
+  const auto m = match(db, f);
   ASSERT_TRUE(m.has_value());
   Network net;
   std::vector<NodeId> leaves{net.add_pi(), net.add_pi()};
@@ -421,6 +426,10 @@ TEST(PassManager, DisabledIsANoop) {
   const OptSummary s = optimize(net, CostModel{}, params);
   EXPECT_EQ(s.total_applied, 0u);
   EXPECT_EQ(net.num_gates(), gates);
+  const int64_t plan_dffs = CostModel{}.measure_network(net).plan_dffs;
+  EXPECT_GT(plan_dffs, 0);
+  EXPECT_EQ(s.plan_dffs_before, plan_dffs);
+  EXPECT_EQ(s.plan_dffs_after, plan_dffs);
 }
 
 TEST(PassManager, PerPassTogglesAreHonored) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "benchmarks/arith.hpp"
+#include "benchmarks/random_net.hpp"
 #include "core/t1_detection.hpp"
 #include "incr/incremental_view.hpp"
+#include "incr/schedule_refiner.hpp"
 
 namespace t1sfq {
 namespace {
@@ -292,6 +296,118 @@ TEST(PhaseAssignment, ViewSeededOverloadMatchesFromScratch) {
     EXPECT_EQ(from_view.stage, full_sweep.stage) << "slack " << slack;
     EXPECT_EQ(from_view.output_stage, full_sweep.output_stage);
     EXPECT_EQ(from_view.estimated_dffs, full_sweep.estimated_dffs);
+  }
+}
+
+/// `descend_stage` with every candidate priced over the whole scope (every
+/// pin's `plan_spine_on` and every T1's `t1_dedicated_on`), as the move was
+/// specified before plain moves priced their fanin pins' other consumers once.
+bool reference_descend(const IncrementalView& view, std::vector<Stage>& stage, Stage sink,
+                       NodeId u) {
+  const Network& net = view.net();
+  const Stage n = static_cast<Stage>(view.model().clk().phases);
+  const Stage lo = sched_local_lower_bound(net, stage, u);
+  const Stage hi = stage_upper_bound(view, stage, sink, u);
+  if (hi <= lo) return false;
+
+  std::vector<NodeId> pins, t1s;
+  const auto add_t1 = [&](NodeId j) {
+    t1s.push_back(j);
+    for (uint8_t i = 0; i < net.node(j).num_fanins; ++i) pins.push_back(net.node(j).fanin(i));
+  };
+  const Node& node = net.node(u);
+  const bool is_t1 = node.type == GateType::T1;
+  if (is_t1) {
+    for (const NodeId c : view.consumers(u)) {
+      if (net.node(c).type == GateType::T1Port) pins.push_back(c);
+    }
+    add_t1(u);
+  } else {
+    pins.push_back(u);
+  }
+  for (uint8_t i = 0; i < node.num_fanins; ++i) pins.push_back(node.fanin(i));
+  for_each_timed_consumer(view, u, [&](NodeId c) {
+    if (c != kNullNode && net.node(c).type == GateType::T1) add_t1(c);
+  });
+  for (auto* v : {&pins, &t1s}) {
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
+  }
+  const auto cost = [&] {
+    int64_t c = 0;
+    for (const NodeId p : pins) c += view.plan_spine_on(p, stage, sink);
+    for (const NodeId j : t1s) c += view.t1_dedicated_on(j, stage);
+    return c;
+  };
+  const auto set_stage = [&](Stage x) {
+    stage[u] = x;
+    if (!is_t1) return;
+    for (const NodeId c : view.consumers(u)) {
+      if (net.node(c).type == GateType::T1Port) stage[c] = x;
+    }
+  };
+  const Stage original = stage[u];
+  Stage best_stage = original;
+  int64_t best_cost = cost();
+  const auto try_range = [&](Stage from, Stage to) {
+    for (Stage x = from; x <= to; ++x) {
+      if (x == original) continue;
+      set_stage(x);
+      if (const int64_t c = cost(); c < best_cost) {
+        best_cost = c;
+        best_stage = x;
+      }
+    }
+  };
+  if (hi - lo <= 6 * n) {
+    try_range(lo, hi);
+  } else {
+    try_range(lo, lo + 3 * n);
+    try_range(hi - 3 * n, hi);
+  }
+  set_stage(best_stage);
+  return best_stage != original;
+}
+
+/// Descent sweeps over T1-bearing random nets, from the ASAP and from the
+/// ALAP stages, in reverse and forward topological order (so moves go both
+/// later and earlier): every move must pick what whole-scope pricing picks,
+/// plain moves (no T1 in scope) and T1-coupled ones alike.
+TEST(DescendStage, MovesLikeWholeScopePricing) {
+  for (const unsigned plant : {24u, 200u}) {
+    for (const unsigned phases : {4u, 5u}) {
+      Network net = bench::random_network(/*seed=*/3, /*num_pis=*/32, /*num_gates=*/800,
+                                          bench::RandomPoPolicy::AllSinks, plant);
+      net = net.cleanup();
+      const CostModel model(CellLibrary{}, AreaConfig{}, MultiphaseConfig{phases});
+      IncrementalView view(net, model, /*track_plan=*/true);
+      ASSERT_GT(detect_and_replace_t1(net, model, T1DetectionParams{}, &view).used, 0u);
+
+      const Stage sink = view.output_stage() + 2;  // slack opens the PO windows
+      std::vector<NodeId> order = net.topo_order();
+      for (const bool from_alap : {false, true}) {
+        std::vector<Stage> fast(net.size());
+        for (NodeId id = 0; id < net.size(); ++id) {
+          fast[id] = from_alap ? view.alap_stages()[id] : view.stage(id);
+        }
+        std::vector<Stage> reference = fast;
+        StageScope scope;
+        std::size_t moves = 0;
+        for (int sweep = 0; sweep < 3; ++sweep) {
+          std::reverse(order.begin(), order.end());  // reverse, forward, reverse
+          for (const NodeId u : order) {
+            if (!is_clocked(net.node(u).type)) continue;
+            const bool moved = descend_stage(view, fast, sink, u, scope);
+            ASSERT_EQ(moved, reference_descend(view, reference, sink, u))
+                << "node " << u << ", plant " << plant << ", " << phases << " phases";
+            ASSERT_EQ(fast[u], reference[u]) << "node " << u;
+            moves += moved;
+          }
+        }
+        EXPECT_EQ(fast, reference);
+        EXPECT_GT(moves, 0u);
+      }
+    }
   }
 }
 

@@ -20,6 +20,7 @@
 #include "benchmarks/random_net.hpp"
 #include "benchmarks/suite.hpp"
 #include "network/io.hpp"
+#include "service/canonical.hpp"
 #include "service/netdiff.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -340,6 +341,43 @@ TEST(ServiceServer, EcoProgressionIsBitIdenticalToCold) {
   }
 }
 
+TEST(ServiceServer, EcoSessionWritesTheNetlistOnlyOnRequest) {
+  // A session holds its last physical netlist and serializes it only for a
+  // request that sets return_netlist; the answer must be that netlist.
+  Server server(ServerConfig{.disk_cache = false});
+  Network session_base = sparse_random(2000);
+  FlowRequest first = request_for(session_base, "s");
+  first.return_netlist = true;
+  const FlowResponse est = server.dispatch(first);
+  ASSERT_TRUE(est.ok) << est.message;
+  ASSERT_FALSE(est.netlist_blif.empty());
+  FlowResponse eco;
+  for (unsigned k = 0; k < 12 && eco.tier != FlowTier::Eco; ++k) {
+    Network edited("");
+    ASSERT_TRUE(edited_variant(session_base, 1 + k * 29, &edited));
+    eco = server.dispatch(request_for(edited, "s"));
+    ASSERT_TRUE(eco.ok) << eco.message;
+    session_base = std::move(edited);
+  }
+  ASSERT_EQ(eco.tier, FlowTier::Eco) << "no probe served on the ECO tier";
+  EXPECT_TRUE(eco.netlist_blif.empty());
+
+  FlowRequest again = request_for(session_base, "s");
+  again.return_netlist = true;
+  const FlowResponse warm = server.dispatch(again);
+  ASSERT_TRUE(warm.ok) << warm.message;
+  EXPECT_EQ(warm.tier, FlowTier::Warm);
+  ASSERT_FALSE(warm.netlist_blif.empty());
+  EXPECT_NE(warm.netlist_blif, est.netlist_blif);  // the edited circuit's, not a stale one
+  std::istringstream blif(warm.netlist_blif);
+  const Network phys = read_blif(blif);
+  EXPECT_EQ(phys.num_pis(), session_base.num_pis());
+  EXPECT_EQ(phys.num_pos(), session_base.num_pos());
+  EXPECT_EQ(phys.count_of(GateType::Dff), eco.metrics.num_dffs);
+  // A second ask serves the same text.
+  EXPECT_EQ(server.dispatch(again).netlist_blif, warm.netlist_blif);
+}
+
 TEST(ServiceServer, ConfigChangeFallsBackCold) {
   Server server(ServerConfig{.disk_cache = false});
   const Network base = sparse_random(400);
@@ -470,6 +508,42 @@ TEST(ServiceServer, WarmCacheSurvivesRestartViaDiskBlobs) {
 // ---------------------------------------------------------------------------
 // NetDiff
 // ---------------------------------------------------------------------------
+
+/// The text `exact_signature` is documented to hash, built with a stream.
+std::string exact_signature_text(const Network& net) {
+  std::ostringstream ss;
+  ss << "net:" << net.name() << '\n' << "pi:";
+  for (std::size_t i = 0; i < net.num_pis(); ++i) {
+    ss << ' ' << net.pi(i) << '=' << net.pi_name(i);
+  }
+  ss << '\n';
+  for (NodeId id = 0; id < net.size(); ++id) {
+    if (net.is_dead(id)) continue;
+    const Node& n = net.node(id);
+    ss << id << ':' << to_string(n.type);
+    if (n.type == GateType::T1Port) ss << '.' << to_string(n.port);
+    for (uint8_t i = 0; i < n.num_fanins; ++i) ss << ' ' << n.fanin(i);
+    ss << '\n';
+  }
+  ss << "po:";
+  for (std::size_t i = 0; i < net.num_pos(); ++i) {
+    ss << ' ' << net.po(i) << '=' << net.po_name(i);
+  }
+  ss << '\n';
+  return ss.str();
+}
+
+TEST(ServiceCanonical, ExactSignatureHashesTheDocumentedText) {
+  // Cache keys (and disk blob names) are this hash: it must not drift.
+  FlowParams params;
+  params.opt.enable = false;
+  const Network input = sparse_random(400);
+  const FlowResult res = run_flow(input, params);
+  ASSERT_GT(res.metrics.t1_used, 0u);  // T1 bodies and ports in the mapped net
+  for (const Network* net : {&input, &res.mapped}) {
+    EXPECT_EQ(service::exact_signature(*net), service::fnv1a(exact_signature_text(*net)));
+  }
+}
 
 TEST(ServiceNetDiff, IdenticalNetworksDiffEmpty) {
   const Network net = tiny_net().cleanup();
