@@ -38,33 +38,42 @@ int64_t landing_chain_cost(Stage sd, Stage t, Stage n) {
 
 }  // namespace
 
-std::array<int, 3> t1_slot_perm(const Network& net, const std::vector<Stage>& stage,
-                                NodeId t1, Stage n, int64_t* cost_out) {
-  const Node& body = net.node(t1);
-  const Stage sj = stage[t1];
-  std::array<Stage, 3> sd;
+unsigned t1_slot_order(const std::array<Stage, 3>& sd, Stage sj, Stage n,
+                       int64_t* cost_out) {
+  // landing[i][l]: DFFs that land fanin i in slot l + 1.
+  std::array<std::array<int64_t, 3>, 3> landing;
   for (unsigned i = 0; i < 3; ++i) {
-    sd[i] = stage[resolve_producer(net, body.fanin(i))];
-  }
-  std::array<int, 3> slots{1, 2, 3};
-  std::array<int, 3> best = slots;
-  int64_t best_cost = kInf;
-  std::array<int, 3> perm{1, 2, 3};
-  do {
-    int64_t cost = 0;
-    for (unsigned i = 0; i < 3 && cost < kInf; ++i) {
-      const int64_t c = landing_chain_cost(sd[i], sj - perm[i], n);
-      cost = c >= kInf ? kInf : cost + c;
+    for (unsigned l = 0; l < 3; ++l) {
+      landing[i][l] = landing_chain_cost(sd[i], sj - static_cast<Stage>(l + 1), n);
     }
+  }
+  unsigned best = 0;
+  int64_t best_cost = kInf;
+  for (unsigned k = 0; k < kT1SlotOrders.size(); ++k) {
+    const std::array<int, 3>& slots = kT1SlotOrders[k];
+    const int64_t a = landing[0][slots[0] - 1];
+    const int64_t b = landing[1][slots[1] - 1];
+    const int64_t c = landing[2][slots[2] - 1];
+    const int64_t cost = a >= kInf || b >= kInf || c >= kInf ? kInf : a + b + c;
     if (cost < best_cost) {
       best_cost = cost;
-      best = perm;
+      best = k;
     }
-  } while (std::next_permutation(perm.begin(), perm.end()));
+  }
   if (cost_out) {
     *cost_out = best_cost;
   }
   return best;
+}
+
+std::array<int, 3> t1_slot_perm(const Network& net, const std::vector<Stage>& stage,
+                                NodeId t1, Stage n, int64_t* cost_out) {
+  const Node& body = net.node(t1);
+  std::array<Stage, 3> sd;
+  for (unsigned i = 0; i < 3; ++i) {
+    sd[i] = stage[resolve_producer(net, body.fanin(i))];
+  }
+  return kT1SlotOrders[t1_slot_order(sd, stage[t1], n, cost_out)];
 }
 
 NodeId resolve_producer(const Network& net, NodeId id) {
@@ -213,20 +222,22 @@ Stage sched_local_lower_bound(const Network& net, const std::vector<Stage>& stag
 Stage sched_t1_max_input_stage(const Network& net, const std::vector<Stage>& stage,
                                NodeId j, NodeId u) {
   const Node& body = net.node(j);
-  std::vector<Stage> others;
+  // Stages of the fanins u does not drive; unused entries sort last.
+  std::array<Stage, 4> others;
+  others.fill(std::numeric_limits<Stage>::max());
+  std::size_t num_others = 0;
   for (unsigned i = 0; i < 3; ++i) {
     const NodeId d = resolve_producer(net, body.fanin(i));
     if (d != u) {
-      others.push_back(stage[d]);
+      others[num_others++] = stage[d];
     }
   }
   const Stage sj = stage[j];
   const auto feasible = [&](Stage x) {
-    std::vector<Stage> s = others;
-    s.push_back(x);
-    // Fanins from the same driver appear once in `others`; pad with x.
-    while (s.size() < 3) {
-      s.push_back(x);
+    std::array<Stage, 4> s = others;
+    // x joins once, and pads the fanins u drives up to three.
+    for (std::size_t k = num_others; k < std::max<std::size_t>(num_others + 1, 3); ++k) {
+      s[k] = x;
     }
     std::sort(s.begin(), s.end());
     return sj >= std::max({s[0] + 3, s[1] + 2, s[2] + 1});

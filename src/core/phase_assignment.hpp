@@ -97,8 +97,23 @@ NodeId resolve_producer(const Network& net, NodeId id);
 /// with its own DFF spine). Use this as the key for spine/fanout accounting.
 NodeId driver_key(const Network& net, NodeId id);
 
+/// The six landing-slot orders of a T1 body, in `std::next_permutation`
+/// order: order k lands fanin i in slot `kT1SlotOrders[k][i]`.
+inline constexpr std::array<std::array<int, 3>, 6> kT1SlotOrders = {
+    {{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1}}};
+
+/// Index into kT1SlotOrders of the cheapest landing order for fanins whose
+/// producers sit at stages \p sd, feeding a body at stage \p sj (\p n =
+/// phase count): the first minimum in that order, order 0 when no order is
+/// feasible. Prices a 3x3 landing-cost table once and sums it six ways.
+/// \p cost_out receives the order's landing-chain DFFs (a sentinel far
+/// above any real count when infeasible).
+unsigned t1_slot_order(const std::array<Stage, 3>& sd, Stage sj, Stage n,
+                       int64_t* cost_out = nullptr);
+
 /// Deterministic minimum-cost landing-slot permutation of T1 body \p t1 under
-/// \p stage (slots[i] = slot of fanin i, slot ∈ {1,2,3}; \p n = phase count).
+/// \p stage (slots[i] = slot of fanin i, slot ∈ {1,2,3}; \p n = phase count):
+/// `kT1SlotOrders[t1_slot_order(...)]` over the body's producer stages.
 /// Shared by plan_dffs, the scheduler and the incremental plan views
 /// (incr/incremental_view.hpp), so every layer agrees on the slot choice.
 std::array<int, 3> t1_slot_perm(const Network& net, const std::vector<Stage>& stage,

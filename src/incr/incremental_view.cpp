@@ -113,7 +113,9 @@ void IncrementalView::rebuild() {
     return;
   }
   plan_spine_.assign(n, 0);
-  t1_dedicated_.assign(n, 0);
+  t1_plan_.assign(n, 0);
+  shift_.assign(n, 0);
+  moved_.clear();
   total_spine_ = total_dedicated_ = 0;
   logic_jj_ = dff_node_jj_ = clocked_cells_ = 0;
   split_fanout_.assign(n, 0);
@@ -136,11 +138,15 @@ void IncrementalView::rebuild() {
       split_edges_excess_ += split_fanout_[id] - 1;
     }
   }
+  // Slot orders first: pins price their T1 consumers' landings with them.
   for (NodeId id = 0; id < n; ++id) {
-    if (net_.is_dead(id)) continue;
-    update_plan_pin(id);
-    if (net_.node(id).type == GateType::T1) {
-      update_t1_dedicated(id);
+    if (!net_.is_dead(id) && net_.node(id).type == GateType::T1) {
+      update_t1_plan(id);
+    }
+  }
+  for (NodeId id = 0; id < n; ++id) {
+    if (!net_.is_dead(id)) {
+      update_plan_pin(id);
     }
   }
 }
@@ -218,11 +224,12 @@ void IncrementalView::rebind_after_cleanup(const std::vector<NodeId>& old_to_new
   if (track_plan_) {
     remap_stage(plan_spine_);
     remap_u32(split_fanout_);
-    std::vector<int64_t> fresh(n, 0);
-    for (NodeId o = 0; o < old_n && o < t1_dedicated_.size(); ++o) {
-      if (old_to_new[o] != kNullNode) fresh[old_to_new[o]] = t1_dedicated_[o];
+    std::vector<uint8_t> fresh(n, 0);
+    for (NodeId o = 0; o < old_n && o < t1_plan_.size(); ++o) {
+      if (old_to_new[o] != kNullNode) fresh[old_to_new[o]] = t1_plan_[o];
     }
-    t1_dedicated_ = std::move(fresh);
+    t1_plan_ = std::move(fresh);
+    shift_.assign(n, 0);  // all zero between propagations
   }
   // Scalars (output_stage_, totals, estimate accumulators, alap_valid_) are
   // id-independent: the compaction changed no live structure.
@@ -264,33 +271,11 @@ void IncrementalView::mark_spine_dirty(NodeId key) {
   }
 }
 
-/// Marks every plan quantity that depends on stage(u) dirty: u's own pin, the
-/// edge requirements into u (its fanin pins), and — where u touches a T1 —
-/// the slot permutation's whole neighbourhood.
-void IncrementalView::touch_spine_around(NodeId id) {
+void IncrementalView::mark_t1_dirty(NodeId t1) {
   if (!track_plan_) return;
-  const Node& n = net_.node(id);
-  mark_spine_dirty(id);
-  for (uint8_t i = 0; i < n.num_fanins; ++i) {
-    mark_spine_dirty(n.fanin(i));
-  }
-  const auto touch_t1 = [&](NodeId t1) {
-    if (!in_t1_dirty_[t1]) {
-      in_t1_dirty_[t1] = 1;
-      t1_dirty_.push_back(t1);
-    }
-    const Node& body = net_.node(t1);
-    for (uint8_t i = 0; i < body.num_fanins; ++i) {
-      mark_spine_dirty(body.fanin(i));
-    }
-  };
-  if (n.type == GateType::T1) {
-    touch_t1(id);
-  }
-  for (const NodeId c : consumers_[id]) {
-    if (net_.node(c).type == GateType::T1) {
-      touch_t1(c);
-    }
+  if (!in_t1_dirty_[t1]) {
+    in_t1_dirty_[t1] = 1;
+    t1_dirty_.push_back(t1);
   }
 }
 
@@ -306,11 +291,6 @@ void IncrementalView::recompute_output_stage() {
     // too broad a front to seed; fall back to one full reverse relaxation on
     // the next query (output-stage changes are rare next to pin edits).
     alap_valid_ = false;
-    if (track_plan_) {
-      for (const NodeId po : net_.pos()) {
-        mark_spine_dirty(po);
-      }
-    }
   }
 }
 
@@ -330,7 +310,15 @@ std::vector<NodeId> IncrementalView::plan_consumers(NodeId key) const {
 }
 
 Stage IncrementalView::plan_spine_on(NodeId key, const std::vector<Stage>& stages,
-                                     Stage sink, NodeId skip) const {
+                                     Stage sink) const {
+  return pin_spine(key, stages, sink, /*cached_orders=*/false);
+}
+
+/// The plan spine of \p key on \p stages. With \p cached_orders (only on the
+/// maintained stages) each T1 consumer's slot order is read from `t1_plan_`
+/// instead of being re-derived from its producers' stages.
+Stage IncrementalView::pin_spine(NodeId key, const std::vector<Stage>& stages, Stage sink,
+                                 bool cached_orders) const {
   if (is_const_type(net_.node(resolve_producer(net_, key)).type)) {
     return 0;
   }
@@ -339,9 +327,10 @@ Stage IncrementalView::plan_spine_on(NodeId key, const std::vector<Stage>& stage
   Stage req = 0;
   for (const NodeId c : consumers(key)) {
     const Node& cn = net_.node(c);
-    if (cn.type == GateType::T1Port || c == skip) continue;
+    if (cn.type == GateType::T1Port) continue;
     if (cn.type == GateType::T1) {
-      const auto slots = t1_slot_perm(net_, stages, c, n);
+      const auto& slots = cached_orders ? kT1SlotOrders[t1_plan_[c] >> kOrderShift]
+                                        : t1_slot_perm(net_, stages, c, n);
       for (unsigned i = 0; i < 3; ++i) {
         if (cn.fanin(i) != key) continue;
         const Stage t = stages[c] - slots[i];
@@ -360,8 +349,21 @@ Stage IncrementalView::plan_spine_on(NodeId key, const std::vector<Stage>& stage
 }
 
 int64_t IncrementalView::t1_dedicated_on(NodeId t1, const std::vector<Stage>& stages) const {
+  const Node& body = net_.node(t1);
+  std::array<Stage, 3> sd;
+  for (unsigned i = 0; i < 3; ++i) {
+    sd[i] = stages[resolve_producer(net_, body.fanin(i))];
+  }
   const Stage n = static_cast<Stage>(model_.clk().phases);
-  const auto slots = t1_slot_perm(net_, stages, t1, n);
+  return dedicated_landings(t1, stages, t1_slot_order(sd, stages[t1], n));
+}
+
+/// Dedicated landings of T1 body \p t1 on \p stages when its fanins land in
+/// slot order \p order.
+int64_t IncrementalView::dedicated_landings(NodeId t1, const std::vector<Stage>& stages,
+                                            unsigned order) const {
+  const Stage n = static_cast<Stage>(model_.clk().phases);
+  const std::array<int, 3>& slots = kT1SlotOrders[order];
   const Node& body = net_.node(t1);
   int64_t count = 0;
   for (unsigned i = 0; i < 3; ++i) {
@@ -376,18 +378,87 @@ int64_t IncrementalView::t1_dedicated_on(NodeId t1, const std::vector<Stage>& st
 }
 
 void IncrementalView::update_plan_pin(NodeId key) {
-  const Stage fresh = net_.is_dead(key) ? 0 : plan_spine_on(key, stage_, output_stage_);
+  const Stage fresh =
+      net_.is_dead(key) ? 0 : pin_spine(key, stage_, output_stage_, /*cached_orders=*/true);
   total_spine_ += fresh - plan_spine_[key];
   plan_spine_[key] = fresh;
 }
 
-void IncrementalView::update_t1_dedicated(NodeId t1) {
-  const int64_t fresh = net_.is_dead(t1) ? 0 : t1_dedicated_on(t1, stage_);
-  total_dedicated_ += fresh - t1_dedicated_[t1];
-  t1_dedicated_[t1] = fresh;
+/// Re-derives the slot order and dedicated count of \p t1 on the maintained
+/// stages; returns whether the slot order changed (every landing edge into
+/// the body then needs re-pricing).
+bool IncrementalView::update_t1_plan(NodeId t1) {
+  uint8_t fresh = 0;
+  if (!net_.is_dead(t1)) {
+    const Node& body = net_.node(t1);
+    std::array<Stage, 3> sd;
+    for (unsigned i = 0; i < 3; ++i) {
+      sd[i] = stage_[resolve_producer(net_, body.fanin(i))];
+    }
+    const unsigned order =
+        t1_slot_order(sd, stage_[t1], static_cast<Stage>(model_.clk().phases));
+    fresh = static_cast<uint8_t>(dedicated_landings(t1, stage_, order) | order << kOrderShift);
+  }
+  const uint8_t old = t1_plan_[t1];
+  total_dedicated_ += (fresh & kDedicatedMask) - (old & kDedicatedMask);
+  t1_plan_[t1] = fresh;
+  return (fresh >> kOrderShift) != (old >> kOrderShift);
+}
+
+/// The shift rule. Spines, slot orders and dedicated landings read only
+/// stage differences: `dffs_on_edge` of an edge or the sink, and eq.-5
+/// landings from a producer to its body. So a plan quantity changes only
+/// when two of the stages it reads moved by different amounts. For every
+/// node u that moved, u's shift is compared with its plan neighbours': a
+/// consumer (or the sink, when u drives a PO) that shifted differently
+/// dirties u's pin, and the consumer too when it is a T1 body; a fanin that
+/// shifted differently dirties that fanin's pin, and u too when u is a T1
+/// body. A body whose slot order then changes dirties its fanin pins when it
+/// is re-priced. Nodes that did not move shift by 0, so comparing from the
+/// moved side covers every pair. A tap shifts with its body, so the
+/// comparisons across a body-tap edge never fire.
+void IncrementalView::mark_unevenly_shifted(Stage sink_shift) {
+  for (const NodeId u : moved_) {
+    const Stage d = shift_[u];
+    if (d == 0) continue;  // moved back: its neighbours compare against 0
+    bool pin_dirty = is_po(u) && sink_shift != d;
+    for (const NodeId c : consumers_[u]) {
+      if (shift_[c] == d) continue;
+      pin_dirty = true;
+      if (net_.node(c).type == GateType::T1) {
+        mark_t1_dirty(c);
+      }
+    }
+    if (pin_dirty) {
+      mark_spine_dirty(u);
+    }
+    const Node& n = net_.node(u);
+    bool body_dirty = false;
+    for (uint8_t i = 0; i < n.num_fanins; ++i) {
+      if (shift_[n.fanin(i)] != d) {
+        mark_spine_dirty(n.fanin(i));
+        body_dirty = true;
+      }
+    }
+    if (body_dirty && n.type == GateType::T1) {
+      mark_t1_dirty(u);
+    }
+  }
+  if (sink_shift != 0) {
+    for (const NodeId po : net_.pos()) {
+      if (shift_[po] != sink_shift) {
+        mark_spine_dirty(po);
+      }
+    }
+  }
+  for (const NodeId u : moved_) {
+    shift_[u] = 0;
+  }
+  moved_.clear();
 }
 
 void IncrementalView::propagate() {
+  const Stage entry_output_stage = output_stage_;
   // Stage relaxation over the dirty worklist. Processing order is free on a
   // DAG (a node may be visited more than once while its fanins settle); the
   // front only ever spans the affected cone.
@@ -401,9 +472,14 @@ void IncrementalView::propagate() {
     if (!po_slots_[u].empty() && (fresh + 1 > output_stage_ || stage_[u] + 1 == output_stage_)) {
       output_stage_dirty_ = true;
     }
+    if (track_plan_) {
+      if (shift_[u] == 0) {
+        moved_.push_back(u);  // at most once per return to its entry stage
+      }
+      shift_[u] += fresh - stage_[u];
+    }
     stage_[u] = fresh;
     seed_alap_dirty(u);  // the ASAP clamp of u's ALAP moved with it
-    touch_spine_around(u);
     for (const NodeId c : consumers_[u]) {
       seed_stage_dirty(c);
     }
@@ -414,9 +490,17 @@ void IncrementalView::propagate() {
     recompute_output_stage();
   }
   if (track_plan_) {
+    mark_unevenly_shifted(output_stage_ - entry_output_stage);
+    // Slot orders before pins: a changed order re-prices every landing edge
+    // into its body, and pins read the cached orders.
     for (const NodeId t1 : t1_dirty_) {
       in_t1_dirty_[t1] = 0;
-      update_t1_dedicated(t1);
+      if (update_t1_plan(t1)) {
+        const Node& body = net_.node(t1);
+        for (uint8_t i = 0; i < body.num_fanins; ++i) {
+          mark_spine_dirty(body.fanin(i));
+        }
+      }
     }
     t1_dirty_.clear();
     for (const NodeId key : spine_dirty_) {
@@ -453,7 +537,8 @@ void IncrementalView::sync() {
   alap_.resize(n, 0);
   if (track_plan_) {
     plan_spine_.resize(n, 0);
-    t1_dedicated_.resize(n, 0);
+    t1_plan_.resize(n, 0);
+    shift_.resize(n, 0);
     split_fanout_.resize(n, 0);
   }
   for (NodeId id = tracked; id < n; ++id) {
@@ -482,7 +567,7 @@ void IncrementalView::sync() {
         }
       }
       if (node.type == GateType::T1) {
-        touch_spine_around(id);
+        mark_t1_dirty(id);  // its fanin pins were marked above
       }
     }
   }
@@ -568,8 +653,8 @@ void IncrementalView::move_edges(NodeId from, NodeId to,
   for (const auto& [c, k] : counts) {
     (void)k;
     seed_stage_dirty(c);
-    if (track_plan_ && net_.node(c).type == GateType::T1) {
-      touch_spine_around(c);  // the slot permutation sees the new fanin stage
+    if (net_.node(c).type == GateType::T1) {
+      mark_t1_dirty(c);  // the slot order sees the new producer
     }
   }
   finish_commit();
@@ -606,9 +691,6 @@ void IncrementalView::remove_edges_of(NodeId id) {
     if (track_plan_ && n.type != GateType::T1Port) {
       if (split_fanout_[f]-- > 1) --split_edges_excess_;
     }
-    if (track_plan_ && net_.node(f).type == GateType::T1) {
-      touch_spine_around(f);
-    }
   }
 }
 
@@ -622,9 +704,6 @@ void IncrementalView::add_edges_of(NodeId id) {
     seed_alap_dirty(f);
     if (track_plan_ && n.type != GateType::T1Port) {
       if (split_fanout_[f]++ > 0) ++split_edges_excess_;
-    }
-    if (track_plan_ && net_.node(f).type == GateType::T1) {
-      touch_spine_around(f);
     }
   }
 }
@@ -641,10 +720,7 @@ void IncrementalView::kill(NodeId id) {
     }
     mark_spine_dirty(id);
     if (net_.node(id).type == GateType::T1) {
-      if (!in_t1_dirty_[id]) {
-        in_t1_dirty_[id] = 1;
-        t1_dirty_.push_back(id);
-      }
+      mark_t1_dirty(id);
     }
   }
   finish_commit();
@@ -666,9 +742,8 @@ std::vector<NodeId> IncrementalView::kill_cone(const std::vector<NodeId>& cone) 
     if (track_plan_) {
       account_node(id, -1);
       mark_spine_dirty(id);
-      if (net_.node(id).type == GateType::T1 && !in_t1_dirty_[id]) {
-        in_t1_dirty_[id] = 1;
-        t1_dirty_.push_back(id);
+      if (net_.node(id).type == GateType::T1) {
+        mark_t1_dirty(id);
       }
     }
     const Node& n = net_.node(id);
@@ -708,9 +783,8 @@ void IncrementalView::revive_cone(const std::vector<NodeId>& cone) {
     if (track_plan_) {
       account_node(id, +1);
       mark_spine_dirty(id);
-      if (net_.node(id).type == GateType::T1 && !in_t1_dirty_[id]) {
-        in_t1_dirty_[id] = 1;
-        t1_dirty_.push_back(id);
+      if (net_.node(id).type == GateType::T1) {
+        mark_t1_dirty(id);
       }
     }
   }
@@ -737,9 +811,8 @@ void IncrementalView::kill_dangling_from(NodeId from) {
       if (track_plan_) {
         account_node(id, -1);
         mark_spine_dirty(id);
-        if (net_.node(id).type == GateType::T1 && !in_t1_dirty_[id]) {
-          in_t1_dirty_[id] = 1;
-          t1_dirty_.push_back(id);
+        if (net_.node(id).type == GateType::T1) {
+          mark_t1_dirty(id);
         }
       }
       again = any = true;

@@ -22,11 +22,14 @@
 ///
 /// Each edit updates the cached state by dirty-set propagation: stages are
 /// re-relaxed over a worklist seeded with the touched consumers, and the DFF
-/// plan (per-pin spine lengths, per-T1 dedicated landings) is recomputed only
-/// for the pins whose spine inputs changed. The update cost is proportional
-/// to the affected cone, not the network — the invariant the scaling bench
-/// (`bench/scaling.cpp`) measures and `tests/incr_test.cpp` pins bit-exact
-/// against from-scratch recomputation.
+/// plan (per-pin spine lengths, per-T1 dedicated landings and slot orders)
+/// is recomputed only for the pins whose spine inputs changed. Every plan
+/// quantity reads stage *differences* only, so a relaxation that shifts a
+/// node and all of its plan neighbours by the same amount re-prices nothing
+/// (the shift rule, see `mark_unevenly_shifted`). The update cost is
+/// proportional to the affected cone, not the network — the invariant the
+/// scaling bench (`bench/scaling.cpp`) measures and `tests/incr_test.cpp`
+/// pins bit-exact against from-scratch recomputation.
 ///
 /// Views maintained (identical to their from-scratch counterparts):
 ///   * `stage(id)`       == `net.levels()[id]` (eq.-3-aware ASAP stages),
@@ -123,7 +126,7 @@ public:
   /// Maintained plan spine of one pin (driver_key semantics).
   Stage plan_spine(NodeId key) const { return plan_spine_[key]; }
   /// Maintained dedicated-landing count of T1 body \p t1.
-  int64_t t1_dedicated(NodeId t1) const { return t1_dedicated_[t1]; }
+  int64_t t1_dedicated(NodeId t1) const { return t1_plan_[t1] & kDedicatedMask; }
   /// Unified-JJ estimate of the live network: bit-identical to
   /// `model.network_breakdown(net)` in O(1).
   JJBreakdown estimate() const;
@@ -131,11 +134,8 @@ public:
   /// Recomputes the plan spine of \p key on \p stages (any feasible stage
   /// vector over this network with T1 taps aliased to their body, e.g. a
   /// scheduler or refiner assignment) and the balanced-output sink \p sink,
-  /// instead of the maintained ASAP stages and output stage. Consumer
-  /// \p skip, when given, is left out: a scheduler move prices its own edge
-  /// separately.
-  Stage plan_spine_on(NodeId key, const std::vector<Stage>& stages, Stage sink,
-                      NodeId skip = kNullNode) const;
+  /// instead of the maintained ASAP stages and output stage.
+  Stage plan_spine_on(NodeId key, const std::vector<Stage>& stages, Stage sink) const;
   /// Dedicated landing DFFs of T1 body \p t1 on \p stages.
   int64_t t1_dedicated_on(NodeId t1, const std::vector<Stage>& stages) const;
 
@@ -228,8 +228,9 @@ private:
   void seed_alap_dirty(NodeId id) const;
   void drain_alap() const;
   Stage compute_alap(NodeId id) const;
-  void touch_spine_around(NodeId id);
   void mark_spine_dirty(NodeId key);
+  void mark_t1_dirty(NodeId t1);
+  void mark_unevenly_shifted(Stage sink_shift);
   void propagate();
   /// Settles a commit-like edit: dirty-set propagation normally, a full
   /// rebuild in legacy mode (mirroring the historical refresh-per-commit;
@@ -237,8 +238,12 @@ private:
   void finish_commit();
   void recompute_output_stage();
   Stage compute_stage(NodeId id) const;
+  Stage pin_spine(NodeId key, const std::vector<Stage>& stages, Stage sink,
+                  bool cached_orders) const;
+  int64_t dedicated_landings(NodeId t1, const std::vector<Stage>& stages,
+                             unsigned order) const;
   void update_plan_pin(NodeId key);
-  void update_t1_dedicated(NodeId t1);
+  bool update_t1_plan(NodeId t1);
   void account_node(NodeId id, int sign);
 
   Network& net_;
@@ -265,9 +270,18 @@ private:
 
   // Plan state (track_plan_ only).
   std::vector<Stage> plan_spine_;
-  std::vector<int64_t> t1_dedicated_;
+  /// Per live T1 body, packed: the dedicated-landing count (0..3) in the low
+  /// bits, the index of its slot order (`kT1SlotOrders`, 0..5) above them.
+  /// Pins read the cached order when pricing on the maintained stages.
+  std::vector<uint8_t> t1_plan_;
+  static constexpr uint8_t kDedicatedMask = 0x3;
+  static constexpr unsigned kOrderShift = 2;
   int64_t total_spine_ = 0;
   int64_t total_dedicated_ = 0;
+  /// How far each node moved in the current propagate() (0 between calls),
+  /// and the nodes whose shift was set.
+  std::vector<Stage> shift_;
+  std::vector<NodeId> moved_;
 
   // Estimate accumulators (track_plan_ only).
   int64_t logic_jj_ = 0;       ///< live non-DFF cells (library cost)

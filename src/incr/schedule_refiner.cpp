@@ -59,6 +59,133 @@ void gather_scope(const IncrementalView& view, NodeId u, StageScope& scope) {
   sort_unique(scope.t1s);
 }
 
+bool is_constant(const Network& net, NodeId id) {
+  const GateType t = net.node(id).type;
+  return t == GateType::Const0 || t == GateType::Const1;
+}
+
+/// Fills the pricing buffers of \p scope for a move of \p u: each scope
+/// body's fixed producer stages, each non-constant scope pin's fixed part
+/// (`StageScope::Pin::base`) and whether it feeds u, and the landing edges
+/// into scope bodies. A T1 body outside the scope is neither u nor fed by
+/// u, so its slot order, and every landing edge into it, is fixed for the
+/// whole call.
+void price_fixed(const IncrementalView& view, const std::vector<Stage>& stage, Stage sink,
+                 NodeId u, StageScope& scope) {
+  const Network& net = view.net();
+  const MultiphaseConfig& clk = view.model().clk();
+  const Stage n = static_cast<Stage>(clk.phases);
+  scope.bodies.clear();
+  scope.priced.clear();
+  scope.edges.clear();
+  for (const NodeId j : scope.t1s) {
+    StageScope::Body b;
+    b.id = j;
+    b.is_u = j == u;
+    const Node& body = net.node(j);
+    for (unsigned i = 0; i < 3; ++i) {
+      const NodeId d = resolve_producer(net, body.fanin(i));
+      b.producer[i] = stage[d];
+      b.from_u[i] = d == u;
+      b.constant[i] = is_constant(net, d);
+    }
+    scope.bodies.push_back(b);
+  }
+  for (const NodeId p : scope.pins) {
+    const NodeId producer = resolve_producer(net, p);
+    if (is_constant(net, producer)) continue;  // a constant needs no spine
+    StageScope::Pin pin;
+    pin.owned = producer == u;
+    pin.stage = stage[p];
+    pin.base = pin.owned ? -kInf : 0;  // no consumer: the owned spine prices 0
+    const uint32_t index = static_cast<uint32_t>(scope.priced.size());
+    for (const NodeId c : view.consumers(p)) {
+      const Node& cn = net.node(c);
+      if (cn.type == GateType::T1) {
+        const auto it = std::lower_bound(scope.t1s.begin(), scope.t1s.end(), c);
+        if (it != scope.t1s.end() && *it == c) {
+          const auto body = static_cast<uint32_t>(it - scope.t1s.begin());
+          for (uint32_t i = 0; i < 3; ++i) {
+            if (cn.fanin(i) == p) scope.edges.push_back({index, body, i});
+          }
+          continue;
+        }
+        assert(!pin.owned && "every T1 fed by u is in its scope");
+        const auto slots = t1_slot_perm(net, stage, c, n);
+        for (unsigned i = 0; i < 3; ++i) {
+          const Stage t = stage[c] - slots[i];
+          if (cn.fanin(i) == p && t > pin.stage) {
+            pin.base = std::max(pin.base, (t - pin.stage) / n);
+          }
+        }
+      } else if (is_clocked(cn.type)) {
+        if (pin.owned) {
+          pin.base = std::max(pin.base, stage[c]);
+        } else if (c == u) {
+          pin.feeds_u = true;
+        } else {
+          pin.base = std::max(pin.base, clk.dffs_on_edge(pin.stage, stage[c]));
+        }
+      }
+    }
+    if (view.is_po(p)) {
+      pin.base = pin.owned ? std::max(pin.base, sink)
+                           : std::max(pin.base, clk.dffs_on_edge(pin.stage, sink));
+    }
+    scope.priced.push_back(pin);
+  }
+}
+
+/// The scope's plan cost with u at stage \p x: exactly the sum of
+/// `plan_spine_on` over the scope pins and `t1_dedicated_on` over the scope
+/// bodies on \p stage with u (and its taps) moved to x. With \p as_is the
+/// pins u owns keep their stages in \p stage instead: the price of the
+/// assignment as it stands, which for a T1 body whose taps are not aliased
+/// to it differs from moving u and its taps to u's own stage.
+int64_t price_candidate(const IncrementalView& view, const std::vector<Stage>& stage,
+                        Stage x, bool as_is, StageScope& scope) {
+  const MultiphaseConfig& clk = view.model().clk();
+  const Stage n = static_cast<Stage>(clk.phases);
+  int64_t cost = 0;
+  for (StageScope::Body& b : scope.bodies) {
+    std::array<Stage, 3> sd;
+    for (unsigned i = 0; i < 3; ++i) {
+      sd[i] = b.from_u[i] ? x : b.producer[i];
+    }
+    const Stage sj = b.is_u ? x : stage[b.id];
+    b.order = t1_slot_order(sd, sj, n);
+    const std::array<int, 3>& slots = kT1SlotOrders[b.order];
+    for (unsigned i = 0; i < 3; ++i) {
+      const Stage t = sj - slots[i];
+      if (!b.constant[i] && t > sd[i] && (t - sd[i]) % n != 0) {
+        ++cost;  // a dedicated landing DFF
+      }
+    }
+  }
+  // Plain edges: the owned pins' latest consumer, the edges into u.
+  for (StageScope::Pin& p : scope.priced) {
+    if (p.owned) {
+      if (!as_is) p.stage = x;
+      p.req = clk.dffs_on_edge(p.stage, p.base);
+    } else {
+      p.req = p.feeds_u ? std::max(p.base, clk.dffs_on_edge(p.stage, x)) : p.base;
+    }
+  }
+  // Landing edges into the scope bodies, at their current slot orders.
+  for (const StageScope::Edge& e : scope.edges) {
+    StageScope::Pin& p = scope.priced[e.pin];
+    const StageScope::Body& b = scope.bodies[e.body];
+    const Stage t = (b.is_u ? x : stage[b.id]) - kT1SlotOrders[b.order][e.slot];
+    if (t > p.stage) {
+      p.req = std::max(p.req, (t - p.stage) / n);  // the chain rides/extends the spine
+    }
+  }
+  for (const StageScope::Pin& p : scope.priced) {
+    cost += p.req;
+  }
+  return cost;
+}
+
 }  // namespace
 
 Stage stage_upper_bound(const IncrementalView& view, const std::vector<Stage>& stage,
@@ -88,62 +215,14 @@ bool descend_stage(const IncrementalView& view, std::vector<Stage>& stage, Stage
   }
 
   gather_scope(view, u, scope);
-  // With no T1 in scope (u is no body and feeds none), every spine u's stage
-  // enters is priced from quantities fixed for the whole window: u's own
-  // spine spans the edge to its latest timed consumer (dffs_on_edge grows
-  // with the consumer stage), and each fanin pin's spine is the larger of
-  // u's edge and the spine of its other consumers.
-  const bool plain = scope.t1s.empty();
-  Stage own_latest = -kInf;  // no timed consumer: every edge prices 0
-  std::array<std::pair<Stage, Stage>, 3> fanin_pins{};  // (pin stage, spine without u)
-  std::size_t num_fanin_pins = 0;
-  if (plain) {
-    for_each_timed_consumer(view, u, [&](NodeId c) {
-      own_latest = std::max(own_latest, c == kNullNode ? sink : stage[c]);
-    });
-    for (const NodeId p : scope.pins) {
-      const GateType driver = net.node(resolve_producer(net, p)).type;
-      if (p == u || driver == GateType::Const0 || driver == GateType::Const1) continue;
-      assert(num_fanin_pins < fanin_pins.size());
-      fanin_pins[num_fanin_pins++] = {stage[p], view.plan_spine_on(p, stage, sink, u)};
-    }
-  }
-  const MultiphaseConfig& clk = view.model().clk();
-  const auto scope_cost = [&] {
-    int64_t c = 0;
-    if (plain) {
-      c += clk.dffs_on_edge(stage[u], own_latest);
-      for (std::size_t i = 0; i < num_fanin_pins; ++i) {
-        const auto [pin_stage, rest] = fanin_pins[i];
-        c += std::max(rest, clk.dffs_on_edge(pin_stage, stage[u]));
-      }
-      return c;
-    }
-    for (const NodeId p : scope.pins) {
-      c += view.plan_spine_on(p, stage, sink);
-    }
-    for (const NodeId j : scope.t1s) {
-      c += view.t1_dedicated_on(j, stage);
-    }
-    return c;
-  };
-  const bool is_t1 = net.node(u).type == GateType::T1;
-  const auto set_stage = [&](Stage x) {
-    stage[u] = x;
-    if (!is_t1) return;
-    for (const NodeId c : view.consumers(u)) {
-      if (net.node(c).type == GateType::T1Port) stage[c] = x;  // taps alias their body
-    }
-  };
-
+  price_fixed(view, stage, sink, u, scope);
   const Stage original = stage[u];
   Stage best_stage = original;
-  int64_t best_cost = scope_cost();
+  int64_t best_cost = price_candidate(view, stage, original, /*as_is=*/true, scope);
   const auto try_range = [&](Stage from, Stage to) {
     for (Stage x = from; x <= to; ++x) {
       if (x == original) continue;
-      set_stage(x);
-      const int64_t c = scope_cost();
+      const int64_t c = price_candidate(view, stage, x, /*as_is=*/false, scope);
       if (c < best_cost) {
         best_cost = c;
         best_stage = x;
@@ -156,7 +235,12 @@ bool descend_stage(const IncrementalView& view, std::vector<Stage>& stage, Stage
     try_range(lo, lo + 3 * n);
     try_range(hi - 3 * n, hi);
   }
-  set_stage(best_stage);
+  stage[u] = best_stage;
+  if (net.node(u).type == GateType::T1) {
+    for (const NodeId c : view.consumers(u)) {
+      if (net.node(c).type == GateType::T1Port) stage[c] = best_stage;  // taps alias their body
+    }
+  }
   return best_stage != original;
 }
 

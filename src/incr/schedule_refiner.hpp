@@ -25,6 +25,7 @@
 /// stage-vector copy), so a guard rescue costs about as much as the commit
 /// it vets.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -59,10 +60,41 @@ Stage stage_upper_bound(const IncrementalView& view, const std::vector<Stage>& s
                         Stage sink, NodeId u);
 
 /// The pins and T1 bodies whose plan quantities (spine lengths, dedicated
-/// landings) a stage move prices.
+/// landings) a stage move prices, plus the pricing buffers of the move.
+/// Reusing one scope across calls makes `descend_stage` allocation-free.
 struct StageScope {
   std::vector<NodeId> pins;
   std::vector<NodeId> t1s;
+
+  /// A T1 body of the scope: u itself or a T1 that u feeds.
+  struct Body {
+    NodeId id = kNullNode;
+    bool is_u = false;                 ///< the body is the moved element
+    std::array<Stage, 3> producer{};   ///< producer stages (fixed ones)
+    std::array<bool, 3> from_u{};      ///< fanin i is driven by u
+    std::array<bool, 3> constant{};    ///< fanin i is a constant (no landing)
+    unsigned order = 0;                ///< slot order at the current candidate
+  };
+  /// A priced pin: `base` is what the move cannot change — for a pin u owns
+  /// (sd moves with u) the stage of its latest plain consumer or the sink,
+  /// otherwise the spine its unreachable consumer edges need.
+  struct Pin {
+    Stage stage = 0;  ///< the pin's stage (for a pin u owns: at the candidate)
+    Stage base = 0;
+    Stage req = 0;         ///< spine at the current candidate
+    bool owned = false;
+    bool feeds_u = false;  ///< u is a plain consumer of the pin
+  };
+  /// A landing edge the move reaches: from pin `pin` into fanin slot `slot`
+  /// of scope body `body`.
+  struct Edge {
+    uint32_t pin = 0;
+    uint32_t body = 0;
+    uint32_t slot = 0;
+  };
+  std::vector<Body> bodies;
+  std::vector<Pin> priced;
+  std::vector<Edge> edges;
 };
 
 /// One coordinate-descent move of clocked element \p u on \p stage, a
@@ -73,10 +105,12 @@ struct StageScope {
 /// end. Each candidate is priced as `plan_spine_on` + `t1_dedicated_on` over
 /// the pins and T1 bodies u's stage enters (the pins of u, its fanin pins and
 /// every fanin pin of a T1 it touches); the cheapest wins, ties going to the
-/// current stage, then to the lower stage. With no T1 in scope, a fanin
-/// pin's consumers other than u are priced once per move, not per
-/// candidate. Moves u (and its taps) there and returns true when it changed;
-/// \p scope then holds what the move priced.
+/// current stage, then to the lower stage. The consumer edges the move
+/// cannot reach are priced once per call; per candidate only the pins u
+/// owns (whose plain edges reduce to the latest consumer, as `dffs_on_edge`
+/// grows with the consumer stage), the reachable edges and each scope
+/// body's slot order are re-priced. Moves u (and its taps) there and returns
+/// true when it changed; \p scope then holds what the move priced.
 bool descend_stage(const IncrementalView& view, std::vector<Stage>& stage, Stage sink,
                    NodeId u, StageScope& scope);
 

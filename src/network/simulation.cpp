@@ -45,7 +45,12 @@ std::vector<uint64_t> simulate_all_words(const Network& net,
 }
 
 std::vector<uint64_t> simulate_words(const Network& net, const std::vector<uint64_t>& pi_words) {
-  const auto value = simulate_all_words(net, pi_words);
+  return simulate_words(net, pi_words, net.topo_order());
+}
+
+std::vector<uint64_t> simulate_words(const Network& net, const std::vector<uint64_t>& pi_words,
+                                     const std::vector<NodeId>& order) {
+  const auto value = simulate_all_words(net, pi_words, order);
   std::vector<uint64_t> out;
   out.reserve(net.num_pos());
   for (NodeId po : net.pos()) {
@@ -113,9 +118,11 @@ std::optional<SimulationMismatch> random_simulation_mismatch(const Network& a, c
   if (a.num_pis() != b.num_pis() || a.num_pos() != b.num_pos()) {
     throw std::invalid_argument("random_simulation_mismatch: interface mismatch");
   }
+  const std::vector<NodeId> order_a = a.topo_order();
+  const std::vector<NodeId> order_b = b.topo_order();
   for (const auto& pi_words : random_pattern_words(a.num_pis(), rounds, seed)) {
-    const auto oa = simulate_words(a, pi_words);
-    const auto ob = simulate_words(b, pi_words);
+    const auto oa = simulate_words(a, pi_words, order_a);
+    const auto ob = simulate_words(b, pi_words, order_b);
     for (std::size_t p = 0; p < oa.size(); ++p) {
       const uint64_t diff = oa[p] ^ ob[p];
       if (diff == 0) {

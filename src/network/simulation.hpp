@@ -19,6 +19,10 @@ namespace t1sfq {
 /// Evaluates the network on one assignment of 64 parallel input patterns:
 /// `pi_words[i]` holds 64 values for PI i. Returns one word per PO.
 std::vector<uint64_t> simulate_words(const Network& net, const std::vector<uint64_t>& pi_words);
+/// As above, evaluating the live nodes in \p order (`net.topo_order()`,
+/// computed once by callers that simulate many words).
+std::vector<uint64_t> simulate_words(const Network& net, const std::vector<uint64_t>& pi_words,
+                                     const std::vector<NodeId>& order);
 
 /// Evaluates the network on a single Boolean input vector.
 std::vector<bool> simulate(const Network& net, const std::vector<bool>& pi_values);

@@ -43,10 +43,12 @@ Collector& collector() {
 }
 
 /// Writes T1SFQ_TRACE_FILE at process exit when the environment asked for a
-/// trace. Destructor order is safe: collector() outlives this (constructed
-/// earlier via the reference below).
+/// trace. Destructor order is safe: the span collector and the metrics
+/// registry (whose histograms the trace summarizes) are both constructed
+/// through the references below, so both are destroyed after this.
 struct EnvTraceFlusher {
   Collector& keep_alive = collector();
+  Registry& keep_registry = Registry::instance();
   ~EnvTraceFlusher() {
     const char* path = std::getenv("T1SFQ_TRACE_FILE");
     if (path == nullptr || path[0] == '\0' || !env_trace_requested()) {

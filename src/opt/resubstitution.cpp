@@ -58,6 +58,7 @@ std::size_t ResubstitutionPass::run(Network& net) {
   // collide with the constants immediately.
   std::vector<uint64_t> sig(n0 * kSimWords);
   {
+    const std::vector<NodeId> order = net.topo_order();
     std::mt19937_64 rng(0x5eedf00dULL);
     for (unsigned w = 0; w < kSimWords; ++w) {
       std::vector<uint64_t> pi_words(net.num_pis());
@@ -67,7 +68,7 @@ std::size_t ResubstitutionPass::run(Network& net) {
           word = (word & ~uint64_t{3}) | 2;
         }
       }
-      const std::vector<uint64_t> values = simulate_all_words(net, pi_words);
+      const std::vector<uint64_t> values = simulate_all_words(net, pi_words, order);
       for (std::size_t id = 0; id < n0; ++id) {
         sig[id * kSimWords + w] = values[id];
       }

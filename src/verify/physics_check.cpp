@@ -244,6 +244,7 @@ PhysicsReport physics_check(const PhysicalNetlist& phys, const MultiphaseConfig&
   }
 
   // (2) Pulse-level waves vs word-parallel golden simulation, 64 at a time.
+  const std::vector<NodeId> golden_order = golden.topo_order();
   std::vector<uint64_t> pi_words(net.num_pis());
   for (std::size_t base = 0; base < vectors.size(); base += 64) {
     const std::size_t width = std::min<std::size_t>(64, vectors.size() - base);
@@ -259,7 +260,7 @@ PhysicsReport physics_check(const PhysicalNetlist& phys, const MultiphaseConfig&
         ++report.hazard_cases;
       }
     }
-    const std::vector<uint64_t> expect = simulate_words(golden, pi_words);
+    const std::vector<uint64_t> expect = simulate_words(golden, pi_words, golden_order);
     const std::vector<uint64_t> pulse = program.run(pi_words);
     uint64_t failing = 0;  // lanes whose PO pattern differs from the golden
     for (std::size_t po = 0; po < golden.num_pos(); ++po) {

@@ -14,9 +14,11 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 
 #include "benchmarks/arith.hpp"
 #include "benchmarks/epfl.hpp"
+#include "benchmarks/random_net.hpp"
 #include "core/flow.hpp"
 #include "core/phase_assignment.hpp"
 #include "core/t1_detection.hpp"
@@ -451,6 +453,188 @@ TEST(IncrementalView, PlanSpineOnMatchesPlanDffsAtAnySink) {
     }
     EXPECT_GT(t1s, 0u);
     EXPECT_EQ(dedicated, plan.dedicated_landings) << "slack " << slack;
+  }
+}
+
+/// Every maintained plan quantity of \p view against a view rebuilt from
+/// scratch over a copy of its network: each live node's stage, each pin's
+/// spine and each body's dedicated landings (dead nodes included, which hold
+/// 0), the plan total and the estimate.
+void expect_plan_matches_rebuild(const IncrementalView& view, const Network& net,
+                                 const CostModel& model, const std::string& edit) {
+  Network copy = net;
+  const IncrementalView fresh(copy, model, /*track_plan=*/true);
+  for (NodeId id = 0; id < net.size(); ++id) {
+    if (!net.is_dead(id)) {  // a dead node keeps a stale stage
+      ASSERT_EQ(view.stage(id), fresh.stage(id)) << edit << ": stage of node " << id;
+    }
+    ASSERT_EQ(view.plan_spine(id), fresh.plan_spine(id)) << edit << ": spine of pin " << id;
+    ASSERT_EQ(view.t1_dedicated(id), fresh.t1_dedicated(id))
+        << edit << ": dedicated landings of body " << id;
+  }
+  ASSERT_EQ(view.output_stage(), fresh.output_stage()) << edit;
+  ASSERT_EQ(view.planned_dffs(), fresh.planned_dffs()) << edit;
+  const JJBreakdown got = view.estimate();
+  const JJBreakdown want = fresh.estimate();
+  ASSERT_EQ(got.logic, want.logic) << edit;
+  ASSERT_EQ(got.dff, want.dff) << edit;
+  ASSERT_EQ(got.splitter, want.splitter) << edit;
+  ASSERT_EQ(got.clock, want.clock) << edit;
+}
+
+/// The shift rule re-prices a plan quantity only where two of the stages it
+/// reads moved by different amounts. Ripple-carry chains of XOR3/MAJ3 full
+/// adders are its hardest case. The operands arrive through a shared XOR
+/// delay line, some level with their carry and some later than it: fusing a
+/// bit into a T1 body then delays its carry by up to two stages, which
+/// shifts the whole chain above it uniformly, while a body whose late
+/// operand dominates its stage stays put and only re-orders its landing
+/// slots. Side consumers hang off some carries, and the balanced sink either
+/// shifts with the final carry or sits on a deeper side output. Bits are
+/// fused in a shuffled order, through the detection guard's exact edit shape
+/// (tap replaces, cone kill) and, for a third of them, its rollback (cone
+/// revival, unreplaces, tap and body kills); after every single edit the
+/// maintained plan must equal a rebuilt view's.
+TEST(IncrementalView, ShiftRuleKeepsThePlanExactOnRippleCarryT1Chains) {
+  constexpr unsigned kBits = 20;
+  for (const unsigned phases : {4u, 5u}) {
+    const CostModel model(CellLibrary{}, AreaConfig{}, MultiphaseConfig{phases});
+    for (const bool deep_sink : {false, true}) {
+      for (const uint64_t seed : {1ull, 2ull, 3ull}) {
+        Network net;
+        const Word a = add_pi_word(net, kBits, "a");
+        const Word b = add_pi_word(net, kBits, "b");
+        const Word e = add_pi_word(net, kBits + 8, "e");
+        const NodeId side = net.add_pi("side");
+        std::vector<NodeId> delay{e[0]};  // delay[k] sits at stage k
+        for (unsigned k = 1; k < e.size(); ++k) {
+          delay.push_back(net.add_xor(delay.back(), e[k]));
+        }
+        NodeId carry = net.add_pi("cin");
+        std::vector<std::pair<NodeId, NodeId>> adders;  // (sum, carry) roots per bit
+        for (unsigned i = 0; i < kBits; ++i) {
+          const NodeId x = net.add_xor(a[i], delay[i + (i * 7) % 5]);
+          const NodeId y = i % 2 ? net.add_xor(b[i], delay[i]) : b[i];
+          const NodeId sum = net.add_xor3(x, y, carry);
+          const NodeId next = net.add_maj(x, y, carry);
+          adders.emplace_back(sum, next);
+          net.add_po(sum);
+          if (i % 3 == 1) {
+            net.add_po(net.add_and(next, side));  // a consumer that never shifts alone
+          }
+          carry = next;
+        }
+        net.add_po(carry);
+        if (deep_sink) {
+          NodeId deep = delay.back();
+          for (unsigned k = 0; k < 3 * kBits; ++k) {
+            deep = net.add_xor(deep, e[k % e.size()]);
+          }
+          net.add_po(deep);
+        }
+        IncrementalView view(net, model, /*track_plan=*/true);
+        expect_plan_matches_rebuild(view, net, model, "build");
+
+        std::mt19937_64 rng(seed);
+        std::vector<unsigned> order(kBits);
+        for (unsigned i = 0; i < kBits; ++i) order[i] = i;
+        std::shuffle(order.begin(), order.end(), rng);
+        std::size_t kept = 0;
+        const Stage sink_before = view.output_stage();
+        for (const unsigned bit : order) {
+          const auto [sum, next] = adders[bit];
+          const std::string at = "phases " + std::to_string(phases) + ", deep sink " +
+                                 std::to_string(deep_sink) + ", seed " + std::to_string(seed) +
+                                 ", bit " + std::to_string(bit);
+          const Node& root = net.node(sum);
+          const NodeId body = net.add_t1(root.fanin(0), root.fanin(1), root.fanin(2));
+          const NodeId sum_tap = net.add_t1_port(body, T1PortFn::Sum);
+          const NodeId carry_tap = net.add_t1_port(body, T1PortFn::Carry);
+          const auto undo_sum = view.replace(sum, sum_tap);
+          expect_plan_matches_rebuild(view, net, model, at + ", replace sum");
+          const auto undo_carry = view.replace(next, carry_tap);
+          expect_plan_matches_rebuild(view, net, model, at + ", replace carry");
+          const std::vector<NodeId> killed = view.kill_cone({sum, next});
+          expect_plan_matches_rebuild(view, net, model, at + ", kill cone");
+          if (::testing::Test::HasFatalFailure()) return;
+          if (rng() % 3 != 0) {
+            ++kept;
+            continue;
+          }
+          view.revive_cone(killed);
+          expect_plan_matches_rebuild(view, net, model, at + ", revive cone");
+          view.unreplace(next, carry_tap, undo_carry);
+          expect_plan_matches_rebuild(view, net, model, at + ", unreplace carry");
+          view.unreplace(sum, sum_tap, undo_sum);
+          expect_plan_matches_rebuild(view, net, model, at + ", unreplace sum");
+          view.kill(carry_tap);
+          view.kill(sum_tap);
+          view.kill(body);
+          expect_plan_matches_rebuild(view, net, model, at + ", kill body");
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        EXPECT_GT(kept, kBits / 2);
+        // The fused chain is slower: the sink moved, unless a deeper output holds it.
+        EXPECT_EQ(view.output_stage() == sink_before, deep_sink);
+      }
+    }
+  }
+}
+
+/// The shift rule on T1-mapped random nets: reroutes that deepen or shorten
+/// a pin shift its cone by uneven amounts around many bodies at once, so
+/// slot orders change under bodies whose other producers moved with them.
+/// A third of the reroutes are rolled back. After every edit the maintained
+/// plan must equal a rebuilt view's.
+TEST(IncrementalView, ShiftRuleKeepsThePlanExactUnderReroutesOfT1MappedNets) {
+  for (const unsigned phases : {4u, 5u}) {
+    const CostModel model(CellLibrary{}, AreaConfig{}, MultiphaseConfig{phases});
+    for (const uint64_t seed : {5ull, 6ull}) {
+      Network net = bench::random_network(seed, /*num_pis=*/16, /*num_gates=*/300,
+                                          bench::RandomPoPolicy::AllSinks,
+                                          /*plant_cone_every=*/12)
+                        .cleanup();
+      IncrementalView view(net, model, /*track_plan=*/true);
+      ASSERT_GT(detect_and_replace_t1(net, model, T1DetectionParams{}, &view).used, 0u);
+      expect_plan_matches_rebuild(view, net, model, "detect");
+
+      std::mt19937_64 rng(seed);
+      std::size_t edits = 0;
+      for (unsigned trial = 0; trial < 120 && edits < 60; ++trial) {
+        const NodeId target = static_cast<NodeId>(rng() % net.size());
+        const GateType t = net.node(target).type;
+        if (net.is_dead(target) || view.fanout(target) == 0 || !is_clocked(t) ||
+            t == GateType::T1) {
+          continue;
+        }
+        const auto in_tfo = tfo_of(view, net, target);
+        std::vector<NodeId> outside;
+        for (NodeId id = 0; id < net.size(); ++id) {
+          const GateType o = net.node(id).type;
+          if (!net.is_dead(id) && !in_tfo[id] && o != GateType::T1 &&
+              o != GateType::Const0 && o != GateType::Const1) {
+            outside.push_back(id);
+          }
+        }
+        if (outside.size() < 2) continue;
+        const NodeId x = outside[rng() % outside.size()];
+        const NodeId y = outside[rng() % outside.size()];
+        const NodeId g = net.add_or(x, y);
+        view.sync();
+        if (g == target || (g < in_tfo.size() && in_tfo[g])) continue;
+        const std::string at = "phases " + std::to_string(phases) + ", seed " +
+                               std::to_string(seed) + ", edit " + std::to_string(edits);
+        const auto undo = view.replace(target, g);
+        expect_plan_matches_rebuild(view, net, model, at + ", replace");
+        if (rng() % 3 == 0) {
+          view.unreplace(target, g, undo);
+          expect_plan_matches_rebuild(view, net, model, at + ", unreplace");
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+        ++edits;
+      }
+      EXPECT_GE(edits, 30u);
+    }
   }
 }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "benchmarks/arith.hpp"
 #include "benchmarks/random_net.hpp"
+#include "benchmarks/suite.hpp"
 #include "core/t1_detection.hpp"
 #include "incr/incremental_view.hpp"
 #include "incr/schedule_refiner.hpp"
@@ -299,9 +301,87 @@ TEST(PhaseAssignment, ViewSeededOverloadMatchesFromScratch) {
   }
 }
 
+/// The slot-order search as first written: every slot permutation in
+/// `std::next_permutation` order, landing chains summed fanin by fanin with
+/// an early exit on an infeasible one, the first minimum kept.
+std::array<int, 3> reference_slot_perm(const std::array<Stage, 3>& sd, Stage sj, Stage n,
+                                       int64_t* cost_out) {
+  constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
+  const auto landing = [&](Stage from, Stage t) -> int64_t {
+    if (t < from) return kInf;
+    if (t == from) return 0;
+    const Stage gap = t - from;
+    return gap % n == 0 ? gap / n : gap / n + 1;
+  };
+  std::array<int, 3> best{1, 2, 3};
+  int64_t best_cost = kInf;
+  std::array<int, 3> perm{1, 2, 3};
+  do {
+    int64_t cost = 0;
+    for (unsigned i = 0; i < 3 && cost < kInf; ++i) {
+      const int64_t c = landing(sd[i], sj - perm[i]);
+      cost = c >= kInf ? kInf : cost + c;
+    }
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = perm;
+    }
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  *cost_out = best_cost;
+  return best;
+}
+
+/// `t1_slot_perm` picks the loop's slots and cost on every stage tuple of a
+/// box wide enough for multi-DFF chains, infeasible tuples (a producer at
+/// or past a slot) included. The body reads one producer through another
+/// body's tap, which carries no stage of its own.
+TEST(T1SlotPerm, MatchesThePermutationLoopOnEveryStageTuple) {
+  constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
+  Network net;
+  const NodeId a = net.add_pi();
+  const NodeId b = net.add_pi();
+  const NodeId c = net.add_pi();
+  const NodeId inner = net.add_t1(a, b, c);
+  const NodeId tap = net.add_t1_port(inner, T1PortFn::Carry);
+  const NodeId body = net.add_t1(b, tap, c);
+  net.add_po(net.add_t1_port(body, T1PortFn::Sum));
+  std::vector<Stage> stage(net.size(), 0);
+  stage[tap] = -1;  // read through `inner`, never directly
+  std::array<NodeId, 3> producer;
+  for (unsigned i = 0; i < 3; ++i) {
+    producer[i] = resolve_producer(net, net.node(body).fanin(i));
+  }
+  for (const Stage n : {Stage{4}, Stage{5}, Stage{8}}) {
+    const Stage box = 2 * n + 2;
+    std::size_t feasible = 0;
+    std::size_t infeasible = 0;
+    for (Stage sj = 0; sj <= box + 3; ++sj) {
+      for (Stage s0 = 0; s0 <= box; ++s0) {
+        for (Stage s1 = 0; s1 <= box; ++s1) {
+          for (Stage s2 = 0; s2 <= box; ++s2) {
+            const std::array<Stage, 3> sd{s0, s1, s2};
+            for (unsigned i = 0; i < 3; ++i) stage[producer[i]] = sd[i];
+            stage[body] = sj;
+            int64_t want_cost = 0;
+            int64_t got_cost = 0;
+            const auto want = reference_slot_perm(sd, sj, n, &want_cost);
+            ASSERT_EQ(t1_slot_perm(net, stage, body, n, &got_cost), want)
+                << "n " << n << ", body " << sj << ", producers " << s0 << " " << s1 << " " << s2;
+            ASSERT_EQ(got_cost, want_cost);
+            (want_cost >= kInf ? infeasible : feasible) += 1;
+          }
+        }
+      }
+    }
+    EXPECT_GT(feasible, 0u);
+    EXPECT_GT(infeasible, 0u);
+  }
+}
+
 /// `descend_stage` with every candidate priced over the whole scope (every
 /// pin's `plan_spine_on` and every T1's `t1_dedicated_on`), as the move was
-/// specified before plain moves priced their fanin pins' other consumers once.
+/// first specified, before the move priced the consumer edges it cannot
+/// reach once per call.
 bool reference_descend(const IncrementalView& view, std::vector<Stage>& stage, Stage sink,
                        NodeId u) {
   const Network& net = view.net();
@@ -409,6 +489,79 @@ TEST(DescendStage, MovesLikeWholeScopePricing) {
       }
     }
   }
+}
+
+/// Descent as the flow scheduler and the guard's refiner drive it, on
+/// T1-mapped Table-I circuits and a T1-dense random net: reverse-topological
+/// sweeps to a fixed point from the ASAP seed, at the balanced sink and two
+/// stages past it (the scheduler's shape), then, around every T1 body with
+/// its producers as seeds, deepest-first sweeps over the bodies' fanin and
+/// fanout neighbourhood from the ASAP seed at the view's own sink (the
+/// refiner's shape). Every move must pick what whole-scope pricing picks.
+TEST(DescendStage, SchedulerAndRefinerSweepsMoveLikeWholeScopePricing) {
+  std::vector<std::pair<std::string, Network>> nets;
+  for (const auto& c : bench::make_suite_scaled(8)) {
+    nets.emplace_back(c.name, c.generate().cleanup());
+  }
+  nets.emplace_back("random", bench::random_network(/*seed=*/11, /*num_pis=*/24,
+                                                    /*num_gates=*/600,
+                                                    bench::RandomPoPolicy::AllSinks, 24)
+                                  .cleanup());
+  std::size_t t1_moves = 0;
+  for (auto& [name, net] : nets) {
+    const CostModel model(CellLibrary{}, AreaConfig{}, MultiphaseConfig{4});
+    IncrementalView view(net, model, /*track_plan=*/true);
+    detect_and_replace_t1(net, model, T1DetectionParams{}, &view);
+    std::vector<Stage> asap(net.size());
+    for (NodeId id = 0; id < net.size(); ++id) asap[id] = view.stage(id);
+    const auto moves_match = [&](const std::vector<NodeId>& order, Stage sink,
+                                 unsigned max_sweeps, std::vector<Stage>& fast) {
+      std::vector<Stage> reference = fast;
+      StageScope scope;
+      for (unsigned sweep = 0; sweep < max_sweeps; ++sweep) {
+        bool changed = false;
+        for (const NodeId u : order) {
+          if (!is_clocked(net.node(u).type)) continue;
+          const bool moved = descend_stage(view, fast, sink, u, scope);
+          ASSERT_EQ(moved, reference_descend(view, reference, sink, u))
+              << name << ": node " << u << ", sweep " << sweep;
+          ASSERT_EQ(fast, reference) << name << ": node " << u;
+          changed |= moved;
+          t1_moves += moved && !scope.t1s.empty();
+        }
+        if (!changed) break;
+      }
+    };
+
+    std::vector<NodeId> order = net.topo_order();
+    std::reverse(order.begin(), order.end());
+    for (const Stage slack : {Stage{0}, Stage{2}}) {
+      std::vector<Stage> fast = asap;
+      moves_match(order, view.output_stage() + slack, 12, fast);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+
+    std::vector<NodeId> hood;
+    for (NodeId j = 0; j < net.size(); ++j) {
+      if (net.is_dead(j) || net.node(j).type != GateType::T1) continue;
+      hood.push_back(j);
+      for (unsigned i = 0; i < 3; ++i) {
+        const NodeId d = resolve_producer(net, net.node(j).fanin(i));
+        if (is_clocked(net.node(d).type)) hood.push_back(d);
+      }
+      for_each_timed_consumer(view, j, [&](NodeId c) {
+        if (c != kNullNode) hood.push_back(c);
+      });
+    }
+    std::sort(hood.begin(), hood.end());
+    hood.erase(std::unique(hood.begin(), hood.end()), hood.end());
+    std::stable_sort(hood.begin(), hood.end(),
+                     [&](NodeId a, NodeId b) { return asap[a] > asap[b]; });
+    std::vector<Stage> fast = asap;
+    moves_match(hood, view.output_stage(), 2, fast);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(t1_moves, 0u);
 }
 
 }  // namespace
