@@ -7,9 +7,14 @@
 #      every documented T1SFQ_* environment variable must still be getenv'd
 #      somewhere in the sources (generic variables like $XDG_CACHE_HOME are
 #      outside this repo's control and are not checked).
+#   3. The layer map of docs/ARCHITECTURE.md holds where it is most tempted
+#      to break: no file under src/cost includes from incr, opt, part, core,
+#      verify or service, and none under src/incr from opt, part, core,
+#      verify or service.
 #
-# So the docs/ subsystem cannot rot silently: renaming a flag or moving a file
-# fails this script instead of leaving stale prose behind.
+# So the docs/ subsystem cannot rot silently: renaming a flag, moving a file
+# or reaching up a layer fails this script instead of leaving stale prose
+# behind.
 set -u
 
 fail=0
@@ -65,8 +70,18 @@ for var in $envs; do
   fi
 done
 
+# -- 3. src/cost and src/incr include nothing from a layer above them --------
+layer_violations() {
+  grep -rnE '#include "(incr|opt|part|core|verify|service)/' src/cost
+  grep -rnE '#include "(opt|part|core|verify|service)/' src/incr
+}
+while IFS= read -r hit; do
+  echo "LAYER VIOLATION (see docs/ARCHITECTURE.md, Layer map): $hit"
+  fail=1
+done < <(layer_violations)
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK ($(echo "$flags" | wc -l) flags, links resolve)"
+echo "check_docs: OK ($(echo "$flags" | wc -l) flags, links resolve, layers hold)"

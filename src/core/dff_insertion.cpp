@@ -70,35 +70,29 @@ private:
 
   /// Element feeding a plain consumer clocked at \p sc from driver \p d.
   NodeId feed_from_spine_(NodeId d, Stage sc) {
-    const GateType dt = net_.node(d).type;
-    if (dt == GateType::Const0 || dt == GateType::Const1) {
+    if (is_constant(net_.node(d).type)) {
       return out_.node_map[d];  // constants need no balancing
     }
     return spine_(d, clk_.dffs_on_edge(stage_of_(d), sc));
   }
 
-  /// Element feeding a T1 input that must land at exactly stage \p t.
+  /// Element feeding a T1 input that must land at exactly stage \p t (eq. 5):
+  /// the spine DFF the chain rides, then its dedicated landing DFF when \p t
+  /// is off the spine (shared by every landing of d at t).
   NodeId feed_landing_(NodeId d, Stage t) {
     const Stage sd = stage_of_(d);
-    if (t == sd) {
-      return out_.node_map[d];
-    }
     if (t < sd) {
       throw std::logic_error("insert_dffs: landing stage precedes the producer");
     }
-    const Stage gap = t - sd;
-    if (gap % n_ == 0) {
-      return spine_(d, gap / n_);
+    const NodeId base = spine_(d, clk_.landing_spine(sd, t));
+    if (!clk_.landing_dedicated(sd, t)) {
+      return base;
     }
-    const auto key = std::make_pair(d, t);
-    const auto it = landings_.find(key);
-    if (it != landings_.end()) {
-      return it->second;
+    const auto [it, fresh] = landings_.try_emplace({d, t}, kNullNode);
+    if (fresh) {
+      it->second = new_with_stage_(out_.net.add_raw_gate(GateType::Dff, {base}), t);
     }
-    const NodeId base = spine_(d, gap / n_);
-    const NodeId dff = new_with_stage_(out_.net.add_raw_gate(GateType::Dff, {base}), t);
-    landings_[key] = dff;
-    return dff;
+    return it->second;
   }
 
   void emit_node_(NodeId id) {
@@ -131,7 +125,7 @@ private:
       }
       case GateType::T1: {
         // The landing slots plan_dffs prices (eq. 3).
-        const auto slots = t1_slot_perm(net_, pa_.stage, id, n_);
+        const auto slots = t1_slot_perm(net_, pa_.stage, id, clk_);
         std::vector<NodeId> feeds;
         for (unsigned i = 0; i < 3; ++i) {
           const NodeId pin = driver_key(net_, node.fanin(i));

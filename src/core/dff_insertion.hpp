@@ -2,7 +2,7 @@
 /// \file dff_insertion.hpp
 /// \brief Stage 3 of the flow: materializing path-balancing DFFs (paper §II-C).
 ///
-/// Executes the `InsertionPlan` of phase_assignment.hpp: every driver grows a
+/// Executes the `InsertionPlan` of cost/dff_plan.hpp: every driver grows a
 /// shared DFF spine at stages σd+n, σd+2n, …; ordinary consumers tap the
 /// spine, and each T1 input either consumes a spine stage directly (when its
 /// landing slot is spine-aligned) or through one dedicated landing DFF at

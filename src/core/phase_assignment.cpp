@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "incr/incremental_view.hpp"
 #include "incr/schedule_refiner.hpp"
@@ -11,244 +10,6 @@
 #include "solver/milp.hpp"
 
 namespace t1sfq {
-
-namespace {
-
-constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
-
-bool is_scheduled(GateType t) { return is_clocked(t); }
-
-bool is_const(const Network& net, NodeId id) {
-  const GateType t = net.node(id).type;
-  return t == GateType::Const0 || t == GateType::Const1;
-}
-
-/// DFFs on a dedicated chain from a producer at \p sd to an exact landing
-/// stage \p t (T1 input slots); kInf when infeasible.
-int64_t landing_chain_cost(Stage sd, Stage t, Stage n) {
-  if (t < sd) {
-    return kInf;
-  }
-  if (t == sd) {
-    return 0;
-  }
-  const Stage gap = t - sd;
-  return gap % n == 0 ? gap / n : gap / n + 1;
-}
-
-}  // namespace
-
-unsigned t1_slot_order(const std::array<Stage, 3>& sd, Stage sj, Stage n,
-                       int64_t* cost_out) {
-  // landing[i][l]: DFFs that land fanin i in slot l + 1.
-  std::array<std::array<int64_t, 3>, 3> landing;
-  for (unsigned i = 0; i < 3; ++i) {
-    for (unsigned l = 0; l < 3; ++l) {
-      landing[i][l] = landing_chain_cost(sd[i], sj - static_cast<Stage>(l + 1), n);
-    }
-  }
-  unsigned best = 0;
-  int64_t best_cost = kInf;
-  for (unsigned k = 0; k < kT1SlotOrders.size(); ++k) {
-    const std::array<int, 3>& slots = kT1SlotOrders[k];
-    const int64_t a = landing[0][slots[0] - 1];
-    const int64_t b = landing[1][slots[1] - 1];
-    const int64_t c = landing[2][slots[2] - 1];
-    const int64_t cost = a >= kInf || b >= kInf || c >= kInf ? kInf : a + b + c;
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = k;
-    }
-  }
-  if (cost_out) {
-    *cost_out = best_cost;
-  }
-  return best;
-}
-
-std::array<int, 3> t1_slot_perm(const Network& net, const std::vector<Stage>& stage,
-                                NodeId t1, Stage n, int64_t* cost_out) {
-  const Node& body = net.node(t1);
-  std::array<Stage, 3> sd;
-  for (unsigned i = 0; i < 3; ++i) {
-    sd[i] = stage[resolve_producer(net, body.fanin(i))];
-  }
-  return kT1SlotOrders[t1_slot_order(sd, stage[t1], n, cost_out)];
-}
-
-NodeId resolve_producer(const Network& net, NodeId id) {
-  NodeId cur = id;
-  for (;;) {
-    const Node& n = net.node(cur);
-    if (n.type == GateType::T1Port || n.type == GateType::Buf) {
-      cur = n.fanin(0);
-    } else {
-      return cur;
-    }
-  }
-}
-
-NodeId driver_key(const Network& net, NodeId id) {
-  NodeId cur = id;
-  while (net.node(cur).type == GateType::Buf) {
-    cur = net.node(cur).fanin(0);
-  }
-  return cur;
-}
-
-int64_t InsertionPlan::total_dffs() const {
-  int64_t total = dedicated_landings;
-  for (const Stage s : spine_len) {
-    total += s;
-  }
-  return total;
-}
-
-InsertionPlan plan_dffs(const Network& net, const std::vector<Stage>& stage,
-                        Stage output_stage, const MultiphaseConfig& clk) {
-  InsertionPlan plan;
-  plan.spine_len.assign(net.size(), 0);
-  const Stage n = static_cast<Stage>(clk.phases);
-
-  // Spines are indexed by the physical pin (driver_key): two ports of the
-  // same T1 body carry different signals and never share a chain.
-  const auto raise_spine = [&](NodeId key, Stage req) {
-    if (!is_const(net, resolve_producer(net, key))) {
-      plan.spine_len[key] = std::max(plan.spine_len[key], req);
-    }
-  };
-  const auto stage_of = [&](NodeId key) { return stage[resolve_producer(net, key)]; };
-
-  for (const NodeId id : net.topo_order()) {
-    const Node& node = net.node(id);
-    if (node.type == GateType::T1) {
-      int64_t cost = 0;
-      const auto slots = t1_slot_perm(net, stage, id, n, &cost);
-      assert(cost < kInf && "infeasible T1 slot assignment");
-      plan.t1_slots[id] = slots;
-      for (unsigned i = 0; i < 3; ++i) {
-        const NodeId key = driver_key(net, node.fanin(i));
-        const Stage sd = stage_of(key);
-        const Stage t = stage[id] - slots[i];
-        if (t == sd || is_const(net, resolve_producer(net, key))) {
-          continue;
-        }
-        const Stage gap = t - sd;
-        if (gap % n == 0) {
-          raise_spine(key, gap / n);
-        } else {
-          raise_spine(key, gap / n);
-          ++plan.dedicated_landings;
-        }
-      }
-    } else if (is_scheduled(node.type)) {
-      for (uint8_t i = 0; i < node.num_fanins; ++i) {
-        const NodeId key = driver_key(net, node.fanin(i));
-        raise_spine(key, clk.dffs_on_edge(stage_of(key), stage[id]));
-      }
-    }
-  }
-  for (const NodeId po : net.pos()) {
-    const NodeId key = driver_key(net, po);
-    raise_spine(key, clk.dffs_on_edge(stage_of(key), output_stage));
-  }
-  return plan;
-}
-
-bool assignment_feasible(const Network& net, const std::vector<Stage>& stage,
-                         Stage output_stage, const MultiphaseConfig& clk) {
-  const Stage n = static_cast<Stage>(clk.phases);
-  for (const NodeId id : net.topo_order()) {
-    const Node& node = net.node(id);
-    if (node.type == GateType::T1) {
-      if (n < 4) {
-        return false;  // slots {1,2,3} need gap <= n-1 on the landing hop
-      }
-      std::array<Stage, 3> s;
-      for (unsigned i = 0; i < 3; ++i) {
-        const NodeId d = resolve_producer(net, node.fanin(i));
-        if (is_const(net, d)) {
-          return false;  // constant pulses into the loop are not supported
-        }
-        s[i] = stage[d];
-      }
-      std::sort(s.begin(), s.end());
-      // Paper eq. 3.
-      if (stage[id] < std::max({s[0] + 3, s[1] + 2, s[2] + 1})) {
-        return false;
-      }
-    } else if (is_scheduled(node.type)) {
-      if (stage[id] < 0) {
-        return false;
-      }
-      for (uint8_t i = 0; i < node.num_fanins; ++i) {
-        const NodeId d = resolve_producer(net, node.fanin(i));
-        if (!is_const(net, d) && stage[id] < stage[d] + 1) {
-          return false;
-        }
-      }
-    }
-  }
-  for (const NodeId po : net.pos()) {
-    const NodeId d = resolve_producer(net, po);
-    if (!is_const(net, d) && output_stage < stage[d] + 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Stage sched_local_lower_bound(const Network& net, const std::vector<Stage>& stage,
-                              NodeId u) {
-  const Node& node = net.node(u);
-  if (node.type == GateType::T1) {
-    std::array<Stage, 3> s;
-    for (unsigned i = 0; i < 3; ++i) {
-      s[i] = stage[resolve_producer(net, node.fanin(i))];
-    }
-    std::sort(s.begin(), s.end());
-    return std::max({s[0] + 3, s[1] + 2, s[2] + 1});
-  }
-  Stage lo = 0;
-  for (uint8_t i = 0; i < node.num_fanins; ++i) {
-    const NodeId d = resolve_producer(net, node.fanin(i));
-    if (!is_const(net, d)) {
-      lo = std::max(lo, stage[d] + 1);
-    }
-  }
-  return lo;
-}
-
-Stage sched_t1_max_input_stage(const Network& net, const std::vector<Stage>& stage,
-                               NodeId j, NodeId u) {
-  const Node& body = net.node(j);
-  // Stages of the fanins u does not drive; unused entries sort last.
-  std::array<Stage, 4> others;
-  others.fill(std::numeric_limits<Stage>::max());
-  std::size_t num_others = 0;
-  for (unsigned i = 0; i < 3; ++i) {
-    const NodeId d = resolve_producer(net, body.fanin(i));
-    if (d != u) {
-      others[num_others++] = stage[d];
-    }
-  }
-  const Stage sj = stage[j];
-  const auto feasible = [&](Stage x) {
-    std::array<Stage, 4> s = others;
-    // x joins once, and pads the fanins u drives up to three.
-    for (std::size_t k = num_others; k < std::max<std::size_t>(num_others + 1, 3); ++k) {
-      s[k] = x;
-    }
-    std::sort(s.begin(), s.end());
-    return sj >= std::max({s[0] + 3, s[1] + 2, s[2] + 1});
-  };
-  for (Stage x = sj - 1; x >= sj - 3; --x) {
-    if (feasible(x)) {
-      return x;
-    }
-  }
-  return sj - 3;  // always feasible as the smallest slot candidate
-}
 
 namespace {
 
@@ -298,7 +59,7 @@ PhaseAssignment heuristic_assign(const IncrementalView& view,
   const bool incr = params.incremental;
   std::vector<char> dirty;
   const auto mark = [&](NodeId v) {
-    if (v != kNullNode && is_scheduled(net.node(v).type)) {
+    if (v != kNullNode && is_clocked(net.node(v).type)) {
       dirty[v] = 1;
     }
   };
@@ -347,7 +108,7 @@ PhaseAssignment heuristic_assign(const IncrementalView& view,
     const std::vector<Stage>* alap =
         params.output_slack == 0 ? &view.alap_stages() : nullptr;
     for (const NodeId u : order) {
-      if (!is_scheduled(net.node(u).type)) continue;
+      if (!is_clocked(net.node(u).type)) continue;
       if (alap == nullptr || (*alap)[u] > pa.stage[u]) {
         dirty[u] = 1;
         continue;
@@ -375,7 +136,7 @@ PhaseAssignment heuristic_assign(const IncrementalView& view,
     bool changed = false;
     ++sweeps_run;
     for (const NodeId u : order) {
-      if (!is_scheduled(net.node(u).type)) continue;
+      if (!is_clocked(net.node(u).type)) continue;
       if (incr) {
         if (!dirty[u]) {
           ++nodes_skipped;
@@ -423,7 +184,7 @@ PhaseAssignment milp_assign(const IncrementalView& view,
   std::vector<int> var(net.size(), -1);
   std::vector<int> integer_vars;
   for (const NodeId id : net.topo_order()) {
-    if (is_scheduled(net.node(id).type)) {
+    if (is_clocked(net.node(id).type)) {
       var[id] = lp.add_variable(static_cast<double>(view.stage(id)),
                                 static_cast<double>(out - 1), 0.0);
       integer_vars.push_back(var[id]);
@@ -437,10 +198,17 @@ PhaseAssignment milp_assign(const IncrementalView& view,
     return {-1, 0.0};  // PIs and constants sit at stage 0
   };
 
-  // One m_d per physical pin with consumers.
+  // One m_d per physical pin with a timed consumer (a clocked cell or the
+  // balanced sink; T1 taps are not clocked).
+  const auto timed = [&](NodeId d) {
+    const std::vector<NodeId>& cs = view.consumers(d);
+    return view.is_po(d) || std::any_of(cs.begin(), cs.end(), [&](NodeId c) {
+             return is_clocked(net.node(c).type);
+           });
+  };
   std::vector<int> m_var(net.size(), -1);
   for (NodeId d = 0; d < net.size(); ++d) {
-    if (!view.plan_consumers(d).empty() && !is_const(net, resolve_producer(net, d))) {
+    if (timed(d) && !is_constant(net.node(resolve_producer(net, d)).type)) {
       m_var[d] = lp.add_variable(0.0, static_cast<double>(out), 1.0);
       integer_vars.push_back(m_var[d]);
     }
@@ -448,7 +216,7 @@ PhaseAssignment milp_assign(const IncrementalView& view,
 
   for (const NodeId id : net.topo_order()) {
     const Node& node = net.node(id);
-    if (!is_scheduled(node.type)) continue;
+    if (!is_clocked(node.type)) continue;
     if (node.type == GateType::T1) {
       // Assignment binaries y[i][l]: fanin i takes slot l+1.
       int y[3][3];
@@ -493,7 +261,7 @@ PhaseAssignment milp_assign(const IncrementalView& view,
       for (uint8_t i = 0; i < node.num_fanins; ++i) {
         const NodeId sched = resolve_producer(net, node.fanin(i));
         const NodeId pin = driver_key(net, node.fanin(i));
-        if (is_const(net, sched)) continue;
+        if (is_constant(net.node(sched).type)) continue;
         const auto [dv, dc] = stage_term(sched);
         std::vector<std::pair<int, double>> row{{var[id], 1.0}};
         if (dv >= 0) {
@@ -514,7 +282,7 @@ PhaseAssignment milp_assign(const IncrementalView& view,
   for (const NodeId po : net.pos()) {
     const NodeId sched = resolve_producer(net, po);
     const NodeId pin = driver_key(net, po);
-    if (is_const(net, sched) || m_var[pin] < 0) continue;
+    if (is_constant(net.node(sched).type) || m_var[pin] < 0) continue;
     const auto [dv, dc] = stage_term(sched);
     std::vector<std::pair<int, double>> mr{{m_var[pin], static_cast<double>(n)}};
     if (dv >= 0) {

@@ -9,8 +9,8 @@
 #include <set>
 #include <unordered_map>
 
-#include "core/phase_assignment.hpp"
 #include "core/t1_cell.hpp"
+#include "cost/dff_plan.hpp"
 #include "incr/incremental_view.hpp"
 #include "incr/schedule_refiner.hpp"
 #include "network/cut_enumeration.hpp"
@@ -82,12 +82,11 @@ bool is_candidate_root(GateType type) {
 /// the producer already keeps a spine of \p ext DFFs for its surviving
 /// consumers. A misaligned chain's dedicated landing DFF is not charged (the
 /// phase-alignment term counts savings only).
-int64_t landing_cost(Stage sd, Stage t, Stage n, Stage ext) {
+int64_t landing_cost(const MultiphaseConfig& clk, Stage sd, Stage t, Stage ext) {
   if (t < sd) {
     return kInfCost;
   }
-  const Stage shared = (t - sd) / n;  // spine DFFs the chain can ride/extend
-  return std::max<Stage>(0, shared - ext);
+  return std::max<Stage>(0, clk.landing_spine(sd, t) - ext);
 }
 
 /// Extended eq. 2: unified-JJ gain of fusing the candidate into one T1 cell.
@@ -98,7 +97,6 @@ int64_t price_candidate(const Network& net, const CostModel& model,
                         const std::vector<T1PortFn>& fns) {
   const CellLibrary& lib = model.lib();
   const MultiphaseConfig& clk = model.clk();
-  const Stage n = static_cast<Stage>(clk.phases);
 
   const auto in_cone = [&](NodeId id) {
     return std::find(cand.cone_union.begin(), cand.cone_union.end(), id) !=
@@ -160,9 +158,7 @@ int64_t price_candidate(const Network& net, const CostModel& model,
   for (unsigned i = 0; i < 3; ++i) {
     ls[i] = ctx.stage(cand.leaves[i]);
   }
-  std::array<Stage, 3> sorted = ls;
-  std::sort(sorted.begin(), sorted.end());
-  const Stage sigma = std::max({sorted[0] + 3, sorted[1] + 2, sorted[2] + 1});
+  const Stage sigma = t1_body_stage(ls[0], ls[1], ls[2]);
 
   int64_t dff_delta = 0;  // positive = savings
   // Interior spines disappear with the cone.
@@ -198,16 +194,15 @@ int64_t price_candidate(const Network& net, const CostModel& model,
     ext[i] = ctx.spine(cand.leaves[i], &cand.cone_union);
     dff_delta += ctx.spine(cand.leaves[i]) - ext[i];
   }
-  std::array<int, 3> slot{1, 2, 3};
   int64_t best_landing = kInfCost;
-  do {
+  for (const std::array<int, 3>& slot : kT1SlotOrders) {
     int64_t total = 0;
     for (unsigned i = 0; i < 3 && total < kInfCost; ++i) {
-      const int64_t c = landing_cost(ls[i], sigma - slot[i], n, ext[i]);
+      const int64_t c = landing_cost(clk, ls[i], sigma - slot[i], ext[i]);
       total = c >= kInfCost ? kInfCost : total + c;
     }
     best_landing = std::min(best_landing, total);
-  } while (std::next_permutation(slot.begin(), slot.end()));
+  }
   dff_delta -= best_landing >= kInfCost ? 0 : best_landing;
   // Savings only: a net charge never vetoes a structural win (see the file
   // comment of t1_detection.hpp for the measurement behind this).
@@ -254,8 +249,7 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
       // check alone does not catch this).
       const auto leaves = cut.leaves();
       const bool const_leaf = std::any_of(leaves.begin(), leaves.end(), [&](NodeId leaf) {
-        const GateType t = net.node(leaf).type;
-        return t == GateType::Const0 || t == GateType::Const1;
+        return is_constant(net.node(leaf).type);
       });
       if (const_leaf) continue;
       const auto fn = classify_t1_function(cut.function, cut.num_leaves);

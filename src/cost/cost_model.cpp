@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/phase_assignment.hpp"
+#include "cost/dff_plan.hpp"
 
 namespace t1sfq {
 

@@ -15,7 +15,8 @@
 ///   * `AreaConfig`       — splitter accounting and the clock-network share
 ///                          charged to every clocked element,
 ///   * `MultiphaseConfig` — the stage arithmetic behind the shared-spine
-///                          path-balancing DFF model (`plan_dffs`).
+///                          path-balancing DFF model (`plan_dffs`,
+///                          cost/dff_plan.hpp).
 ///
 /// Every consumer (rewrite database, the three `src/opt` passes, T1
 /// detection, the flow reporting) prices decisions through this one model, so

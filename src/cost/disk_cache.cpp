@@ -130,11 +130,4 @@ void DiskCache::note_corruption_fallback() {
   obs::count("cost.disk_cache.corruption_fallbacks");
 }
 
-void DiskCache::reset_stats() {
-  g_hits.store(0, std::memory_order_relaxed);
-  g_misses.store(0, std::memory_order_relaxed);
-  g_corruptions.store(0, std::memory_order_relaxed);
-  g_bytes_written.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace t1sfq

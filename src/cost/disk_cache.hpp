@@ -48,7 +48,6 @@ class DiskCache {
   static DiskCacheStats stats();
   /// Records a blob that deserialized as corrupt (caller rebuilds instead).
   static void note_corruption_fallback();
-  static void reset_stats();  ///< tests only
 };
 
 }  // namespace t1sfq

@@ -5,7 +5,7 @@
 #include <iterator>
 #include <limits>
 
-#include "core/phase_assignment.hpp"
+#include "cost/dff_plan.hpp"
 #include "obs/metrics.hpp"
 
 namespace t1sfq {
@@ -15,10 +15,6 @@ namespace {
 const std::vector<NodeId> kNoConsumers;
 
 constexpr Stage kInfStage = std::numeric_limits<Stage>::max() / 4;
-
-bool is_const_type(GateType t) {
-  return t == GateType::Const0 || t == GateType::Const1;
-}
 
 }  // namespace
 
@@ -55,12 +51,8 @@ Stage IncrementalView::compute_stage(NodeId id) const {
     case GateType::Buf:
     case GateType::T1Port:
       return stage_[n.fanin(0)];
-    case GateType::T1: {
-      // Paper eq. 3: the three inputs need three distinct landing slots.
-      std::array<Stage, 3> s{stage_[n.fanin(0)], stage_[n.fanin(1)], stage_[n.fanin(2)]};
-      std::sort(s.begin(), s.end());
-      return std::max({s[0] + 3, s[1] + 2, s[2] + 1});
-    }
+    case GateType::T1:
+      return t1_body_stage(stage_[n.fanin(0)], stage_[n.fanin(1)], stage_[n.fanin(2)]);
     default: {
       Stage m = 0;
       for (uint8_t i = 0; i < n.num_fanins; ++i) {
@@ -294,21 +286,6 @@ void IncrementalView::recompute_output_stage() {
   }
 }
 
-std::vector<NodeId> IncrementalView::plan_consumers(NodeId key) const {
-  std::vector<NodeId> out;
-  for (const NodeId c : consumers(key)) {
-    const GateType t = net_.node(c).type;
-    if (t == GateType::T1Port) continue;  // tap edge, not a timed consumer
-    if (is_clocked(t)) {
-      out.push_back(c);
-    }
-  }
-  for (std::size_t r = 0; r < (key < po_slots_.size() ? po_slots_[key].size() : 0); ++r) {
-    out.push_back(kNullNode);
-  }
-  return out;
-}
-
 Stage IncrementalView::plan_spine_on(NodeId key, const std::vector<Stage>& stages,
                                      Stage sink) const {
   return pin_spine(key, stages, sink, /*cached_orders=*/false);
@@ -319,10 +296,10 @@ Stage IncrementalView::plan_spine_on(NodeId key, const std::vector<Stage>& stage
 /// instead of being re-derived from its producers' stages.
 Stage IncrementalView::pin_spine(NodeId key, const std::vector<Stage>& stages, Stage sink,
                                  bool cached_orders) const {
-  if (is_const_type(net_.node(resolve_producer(net_, key)).type)) {
+  if (is_constant(net_.node(resolve_producer(net_, key)).type)) {
     return 0;
   }
-  const Stage n = static_cast<Stage>(model_.clk().phases);
+  const MultiphaseConfig& clk = model_.clk();
   const Stage sd = stages[key];
   Stage req = 0;
   for (const NodeId c : consumers(key)) {
@@ -330,20 +307,18 @@ Stage IncrementalView::pin_spine(NodeId key, const std::vector<Stage>& stages, S
     if (cn.type == GateType::T1Port) continue;
     if (cn.type == GateType::T1) {
       const auto& slots = cached_orders ? kT1SlotOrders[t1_plan_[c] >> kOrderShift]
-                                        : t1_slot_perm(net_, stages, c, n);
+                                        : t1_slot_perm(net_, stages, c, clk);
       for (unsigned i = 0; i < 3; ++i) {
-        if (cn.fanin(i) != key) continue;
-        const Stage t = stages[c] - slots[i];
-        if (t > sd) {
-          req = std::max(req, (t - sd) / n);  // the chain rides/extends the spine
+        if (cn.fanin(i) == key) {  // the chain rides/extends the spine
+          req = std::max(req, clk.landing_spine(sd, stages[c] - slots[i]));
         }
       }
     } else if (is_clocked(cn.type)) {
-      req = std::max(req, model_.clk().dffs_on_edge(sd, stages[c]));
+      req = std::max(req, clk.dffs_on_edge(sd, stages[c]));
     }
   }
   if (is_po(key)) {
-    req = std::max(req, model_.clk().dffs_on_edge(sd, sink));
+    req = std::max(req, clk.dffs_on_edge(sd, sink));
   }
   return req;
 }
@@ -354,24 +329,20 @@ int64_t IncrementalView::t1_dedicated_on(NodeId t1, const std::vector<Stage>& st
   for (unsigned i = 0; i < 3; ++i) {
     sd[i] = stages[resolve_producer(net_, body.fanin(i))];
   }
-  const Stage n = static_cast<Stage>(model_.clk().phases);
-  return dedicated_landings(t1, stages, t1_slot_order(sd, stages[t1], n));
+  return dedicated_landings(t1, stages, t1_slot_order(sd, stages[t1], model_.clk()));
 }
 
 /// Dedicated landings of T1 body \p t1 on \p stages when its fanins land in
 /// slot order \p order.
 int64_t IncrementalView::dedicated_landings(NodeId t1, const std::vector<Stage>& stages,
                                             unsigned order) const {
-  const Stage n = static_cast<Stage>(model_.clk().phases);
   const std::array<int, 3>& slots = kT1SlotOrders[order];
   const Node& body = net_.node(t1);
   int64_t count = 0;
   for (unsigned i = 0; i < 3; ++i) {
     const NodeId d = resolve_producer(net_, body.fanin(i));
-    if (is_const_type(net_.node(d).type)) continue;
-    const Stage t = stages[t1] - slots[i];
-    if (t > stages[d] && (t - stages[d]) % n != 0) {
-      ++count;
+    if (!is_constant(net_.node(d).type)) {
+      count += model_.clk().landing_dedicated(stages[d], stages[t1] - slots[i]);
     }
   }
   return count;
@@ -395,8 +366,7 @@ bool IncrementalView::update_t1_plan(NodeId t1) {
     for (unsigned i = 0; i < 3; ++i) {
       sd[i] = stage_[resolve_producer(net_, body.fanin(i))];
     }
-    const unsigned order =
-        t1_slot_order(sd, stage_[t1], static_cast<Stage>(model_.clk().phases));
+    const unsigned order = t1_slot_order(sd, stage_[t1], model_.clk());
     fresh = static_cast<uint8_t>(dedicated_landings(t1, stage_, order) | order << kOrderShift);
   }
   const uint8_t old = t1_plan_[t1];
@@ -751,7 +721,7 @@ std::vector<NodeId> IncrementalView::kill_cone(const std::vector<NodeId>& cone) 
       const NodeId fi = n.fanin(f);
       const GateType t = net_.node(fi).type;
       if (net_.is_dead(fi) || fanout_[fi] != 0 || !po_slots_[fi].empty() ||
-          t == GateType::Pi || t == GateType::Const0 || t == GateType::Const1) {
+          t == GateType::Pi || is_constant(t)) {
         continue;
       }
       net_.mark_dead(fi);

@@ -4,11 +4,11 @@
 ///
 /// Every layer of the flow asks the same questions of the netlist — fanout
 /// counts, consumer lists, legal ASAP stages (levels), the shared-spine DFF
-/// plan, the unified-JJ network estimate — and historically each layer
-/// answered them with a full O(n) recompute after every local restructuring
-/// (`CostDelta::refresh`, the per-commit `fanout_counts()` rebuilds in
-/// balancing, the copy-sweep-plan probe of the T1 commit guard). That makes
-/// every pass quadratic past ~10k gates.
+/// plan (cost/dff_plan.hpp), the unified-JJ network estimate — and a full
+/// O(n) recompute after every local restructuring (a cost refresh per opt
+/// commit, per-commit `fanout_counts()` rebuilds in balancing, a copy-sweep-
+/// plan probe per T1 guard decision) makes every pass quadratic past ~10k
+/// gates.
 ///
 /// `IncrementalView` maintains all of these views *under edits*:
 ///
@@ -109,8 +109,9 @@ public:
   /// (and the PO sink) of `dffs_on_edge`, with the driver optionally moved to
   /// \p at_stage, consumers in \p skip ignored, and \p extra consumer stages
   /// about to be attached. This is the *pricing* spine (every consumer edge
-  /// charged like a plain clocked edge) shared by CostDelta and T1 detection;
-  /// the maintained *plan* spine below additionally models T1 landing slots.
+  /// charged like a plain clocked edge) the opt passes' `rewrite_delta` /
+  /// `resub_delta` (opt/jj_delta.hpp) and T1 detection read; the maintained
+  /// *plan* spine below additionally models T1 landing slots.
   Stage spine(NodeId driver, const std::vector<NodeId>* skip = nullptr,
               const std::vector<Stage>* extra = nullptr) const;
   Stage spine_at(NodeId driver, Stage at_stage,
@@ -138,10 +139,6 @@ public:
   Stage plan_spine_on(NodeId key, const std::vector<Stage>& stages, Stage sink) const;
   /// Dedicated landing DFFs of T1 body \p t1 on \p stages.
   int64_t t1_dedicated_on(NodeId t1, const std::vector<Stage>& stages) const;
-
-  /// Scheduled (clocked) consumer elements of pin \p key, expanded through
-  /// Buf chains, excluding T1Port taps; kNullNode marks PO sink references.
-  std::vector<NodeId> plan_consumers(NodeId key) const;
 
   // -- Derived views ----------------------------------------------------------
 

@@ -6,7 +6,7 @@
 #include <limits>
 #include <unordered_set>
 
-#include "core/phase_assignment.hpp"
+#include "cost/dff_plan.hpp"
 
 namespace t1sfq {
 
@@ -59,11 +59,6 @@ void gather_scope(const IncrementalView& view, NodeId u, StageScope& scope) {
   sort_unique(scope.t1s);
 }
 
-bool is_constant(const Network& net, NodeId id) {
-  const GateType t = net.node(id).type;
-  return t == GateType::Const0 || t == GateType::Const1;
-}
-
 /// Fills the pricing buffers of \p scope for a move of \p u: each scope
 /// body's fixed producer stages, each non-constant scope pin's fixed part
 /// (`StageScope::Pin::base`) and whether it feeds u, and the landing edges
@@ -74,7 +69,6 @@ void price_fixed(const IncrementalView& view, const std::vector<Stage>& stage, S
                  NodeId u, StageScope& scope) {
   const Network& net = view.net();
   const MultiphaseConfig& clk = view.model().clk();
-  const Stage n = static_cast<Stage>(clk.phases);
   scope.bodies.clear();
   scope.priced.clear();
   scope.edges.clear();
@@ -87,13 +81,13 @@ void price_fixed(const IncrementalView& view, const std::vector<Stage>& stage, S
       const NodeId d = resolve_producer(net, body.fanin(i));
       b.producer[i] = stage[d];
       b.from_u[i] = d == u;
-      b.constant[i] = is_constant(net, d);
+      b.constant[i] = is_constant(net.node(d).type);
     }
     scope.bodies.push_back(b);
   }
   for (const NodeId p : scope.pins) {
     const NodeId producer = resolve_producer(net, p);
-    if (is_constant(net, producer)) continue;  // a constant needs no spine
+    if (is_constant(net.node(producer).type)) continue;  // a constant needs no spine
     StageScope::Pin pin;
     pin.owned = producer == u;
     pin.stage = stage[p];
@@ -111,11 +105,10 @@ void price_fixed(const IncrementalView& view, const std::vector<Stage>& stage, S
           continue;
         }
         assert(!pin.owned && "every T1 fed by u is in its scope");
-        const auto slots = t1_slot_perm(net, stage, c, n);
+        const auto slots = t1_slot_perm(net, stage, c, clk);
         for (unsigned i = 0; i < 3; ++i) {
-          const Stage t = stage[c] - slots[i];
-          if (cn.fanin(i) == p && t > pin.stage) {
-            pin.base = std::max(pin.base, (t - pin.stage) / n);
+          if (cn.fanin(i) == p) {
+            pin.base = std::max(pin.base, clk.landing_spine(pin.stage, stage[c] - slots[i]));
           }
         }
       } else if (is_clocked(cn.type)) {
@@ -145,7 +138,6 @@ void price_fixed(const IncrementalView& view, const std::vector<Stage>& stage, S
 int64_t price_candidate(const IncrementalView& view, const std::vector<Stage>& stage,
                         Stage x, bool as_is, StageScope& scope) {
   const MultiphaseConfig& clk = view.model().clk();
-  const Stage n = static_cast<Stage>(clk.phases);
   int64_t cost = 0;
   for (StageScope::Body& b : scope.bodies) {
     std::array<Stage, 3> sd;
@@ -153,12 +145,11 @@ int64_t price_candidate(const IncrementalView& view, const std::vector<Stage>& s
       sd[i] = b.from_u[i] ? x : b.producer[i];
     }
     const Stage sj = b.is_u ? x : stage[b.id];
-    b.order = t1_slot_order(sd, sj, n);
+    b.order = t1_slot_order(sd, sj, clk);
     const std::array<int, 3>& slots = kT1SlotOrders[b.order];
     for (unsigned i = 0; i < 3; ++i) {
-      const Stage t = sj - slots[i];
-      if (!b.constant[i] && t > sd[i] && (t - sd[i]) % n != 0) {
-        ++cost;  // a dedicated landing DFF
+      if (!b.constant[i]) {
+        cost += clk.landing_dedicated(sd[i], sj - slots[i]);
       }
     }
   }
@@ -176,9 +167,7 @@ int64_t price_candidate(const IncrementalView& view, const std::vector<Stage>& s
     StageScope::Pin& p = scope.priced[e.pin];
     const StageScope::Body& b = scope.bodies[e.body];
     const Stage t = (b.is_u ? x : stage[b.id]) - kT1SlotOrders[b.order][e.slot];
-    if (t > p.stage) {
-      p.req = std::max(p.req, (t - p.stage) / n);  // the chain rides/extends the spine
-    }
+    p.req = std::max(p.req, clk.landing_spine(p.stage, t));  // rides/extends the spine
   }
   for (const StageScope::Pin& p : scope.priced) {
     cost += p.req;
@@ -186,7 +175,47 @@ int64_t price_candidate(const IncrementalView& view, const std::vector<Stage>& s
   return cost;
 }
 
+/// Largest stage input \p u may take so that T1 consumer \p j stays feasible
+/// under eq. 3 with its other fanins fixed: u's fanins of j (one or more)
+/// move together, and the landing slots put the answer within sj − 3..sj − 1.
+Stage sched_t1_max_input_stage(const Network& net, const std::vector<Stage>& stage,
+                               NodeId j, NodeId u) {
+  const Node& body = net.node(j);
+  std::array<NodeId, 3> d;
+  for (unsigned i = 0; i < 3; ++i) {
+    d[i] = resolve_producer(net, body.fanin(i));
+  }
+  const Stage sj = stage[j];
+  for (Stage x = sj - 1; x >= sj - 3; --x) {
+    const auto at = [&](unsigned i) { return d[i] == u ? x : stage[d[i]]; };
+    if (sj >= t1_body_stage(at(0), at(1), at(2))) {
+      return x;
+    }
+  }
+  return sj - 3;  // always feasible as the smallest slot candidate
+}
+
 }  // namespace
+
+Stage sched_local_lower_bound(const Network& net, const std::vector<Stage>& stage,
+                              NodeId u) {
+  const Node& node = net.node(u);
+  if (node.type == GateType::T1) {
+    std::array<Stage, 3> s;
+    for (unsigned i = 0; i < 3; ++i) {
+      s[i] = stage[resolve_producer(net, node.fanin(i))];
+    }
+    return t1_body_stage(s[0], s[1], s[2]);
+  }
+  Stage lo = 0;
+  for (uint8_t i = 0; i < node.num_fanins; ++i) {
+    const NodeId d = resolve_producer(net, node.fanin(i));
+    if (!is_constant(net.node(d).type)) {
+      lo = std::max(lo, stage[d] + 1);
+    }
+  }
+  return lo;
+}
 
 Stage stage_upper_bound(const IncrementalView& view, const std::vector<Stage>& stage,
                         Stage sink, NodeId u) {

@@ -52,6 +52,12 @@ void for_each_timed_consumer(const IncrementalView& view, NodeId u, F&& f) {
   }
 }
 
+/// Earliest stage scheduled element \p u may take under \p stage: one past
+/// its latest non-constant fanin, or `t1_body_stage` of its fanins for a T1
+/// body (eq. 3).
+Stage sched_local_lower_bound(const Network& net, const std::vector<Stage>& stage,
+                              NodeId u);
+
 /// Latest stage scheduled element \p u may take under \p stage with every
 /// consumer kept feasible and the balanced sink at \p sink: plain consumers
 /// one stage later, T1 consumers under eq. 3 with their other fanins fixed.

@@ -484,13 +484,10 @@ std::vector<uint32_t> Network::levels() const {
       case GateType::T1Port:
         lvl[id] = lvl[n.fanin(0)];
         break;
-      case GateType::T1: {
-        // Paper eq. (3): sigma >= max(s1+3, s2+2, s3+1), fanins sorted by stage.
-        std::array<uint32_t, 3> s{lvl[n.fanin(0)], lvl[n.fanin(1)], lvl[n.fanin(2)]};
-        std::sort(s.begin(), s.end());
-        lvl[id] = std::max({s[0] + 3, s[1] + 2, s[2] + 1});
+      case GateType::T1:
+        lvl[id] = static_cast<uint32_t>(
+            t1_body_stage(lvl[n.fanin(0)], lvl[n.fanin(1)], lvl[n.fanin(2)]));
         break;
-      }
       default: {
         uint32_t m = 0;
         for (uint8_t i = 0; i < n.num_fanins; ++i) {

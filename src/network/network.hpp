@@ -14,12 +14,14 @@
 /// a physical RSFQ netlist. Builders perform structural hashing and constant
 /// folding, so generator code can be written naively.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "network/truth_table.hpp"
@@ -70,6 +72,22 @@ unsigned gate_arity(GateType type);
 /// True for cells that consume a clock phase (all logic gates, DFFs and T1
 /// bodies; Buf is a JTL and splitters/taps are passive).
 bool is_clocked(GateType type);
+/// True for Const0/Const1: a constant fires no pulses, so it needs no DFF
+/// spine and cannot feed a T1 body.
+inline bool is_constant(GateType type) {
+  return type == GateType::Const0 || type == GateType::Const1;
+}
+
+/// Earliest stage of a T1 body whose three fanin producers fire at stages
+/// \p a, \p b and \p c (paper eq. 3): the inputs need three distinct landing
+/// slots one, two and three stages before the body, so with the stages sorted
+/// s0 <= s1 <= s2 the body waits for max(s0 + 3, s1 + 2, s2 + 1).
+constexpr int64_t t1_body_stage(int64_t a, int64_t b, int64_t c) {
+  if (a > b) std::swap(a, b);
+  if (b > c) std::swap(b, c);
+  if (a > b) std::swap(a, b);
+  return std::max({a + 3, b + 2, c + 1});
+}
 
 struct Node {
   GateType type = GateType::Const0;
@@ -142,7 +160,6 @@ public:
 
   const std::string& pi_name(std::size_t i) const { return pi_names_[i]; }
   const std::string& po_name(std::size_t i) const { return po_names_[i]; }
-  void set_po_name(std::size_t i, std::string name) { po_names_[i] = std::move(name); }
 
   /// Number of live nodes of a given type.
   std::size_t count_of(GateType type) const;
@@ -159,8 +176,7 @@ public:
   std::vector<std::vector<NodeId>> fanout_lists() const;
   /// Logic levels: PIs/consts at 0; every *clocked* cell is one level above
   /// its deepest fanin; passive cells (Buf taken as JTL, T1Port) inherit the
-  /// fanin level. T1 bodies sit three levels above their earliest-arriving
-  /// fanin (paper eq. 3 lower bound with unit spacing).
+  /// fanin level. T1 bodies sit at `t1_body_stage` of their fanin levels.
   std::vector<uint32_t> levels() const;
   uint32_t depth() const;
 

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 
-#include "cost/cost_delta.hpp"
+#include "incr/incremental_view.hpp"
 #include "network/cut_enumeration.hpp"
 #include "network/mffc.hpp"
 #include "obs/metrics.hpp"
+#include "opt/jj_delta.hpp"
 #include "opt/rewrite_db.hpp"
 
 namespace t1sfq {
@@ -39,7 +40,6 @@ std::size_t CutRewritingPass::run(Network& net) {
   // services every commit with a full rebuild instead).
   IncrementalView view(net, model_);
   view.set_full_recompute(!params_.incremental);
-  CostDelta cd(view);
   // Roots committed earlier in this sweep become dangling; cuts of downstream
   // nodes may still name them as leaves, so leaf references are chased to
   // their live replacement (functions are preserved by every commit).
@@ -58,7 +58,7 @@ std::size_t CutRewritingPass::run(Network& net) {
   for (const NodeId root : net.topo_order()) {
     if (net.is_dead(root) || replaced_by[root] != kNullNode) continue;
     if (!is_opt_gate(net.node(root).type)) continue;
-    if (cd.fanout(root) == 0) continue;  // dangling (e.g. interior of a prior commit)
+    if (view.fanout(root) == 0) continue;  // dangling (e.g. interior of a prior commit)
 
     struct Candidate {
       RewriteMatch match;
@@ -78,7 +78,7 @@ std::size_t CutRewritingPass::run(Network& net) {
         leaves[i] = resolve(cut.leaf_ids[i]);
       }
 
-      const std::vector<NodeId> cone = mffc(net, root, cd.fanouts(), leaves);
+      const std::vector<NodeId> cone = mffc(net, root, view.fanouts(), leaves);
       // Pre-mapping networks hold plain gates only, but never touch a cone
       // that contains timing or T1 cells.
       bool clean = true;
@@ -94,7 +94,7 @@ std::size_t CutRewritingPass::run(Network& net) {
       // instantiation) can only be lower thanks to structural hashing.
       uint32_t leaf_lvl = 0;
       for (const NodeId leaf : leaves) {
-        leaf_lvl = std::max(leaf_lvl, cd.level(leaf));
+        leaf_lvl = std::max(leaf_lvl, view.level(leaf));
       }
       const uint32_t depth_est = leaf_lvl + match->depth;
 
@@ -104,12 +104,12 @@ std::size_t CutRewritingPass::run(Network& net) {
       // database's ranking: depth reductions shorten spines and, on critical
       // paths, the balanced output stage itself — savings a local delta
       // cannot see directly.
-      const int64_t delta = cd.rewrite_delta(root, cone, match->jj_cost, depth_est);
+      const int64_t delta = rewrite_delta(view, root, cone, match->jj_cost, depth_est);
       const int64_t score =
           delta + (static_cast<int64_t>(depth_est) -
-                   static_cast<int64_t>(cd.level(root))) *
-                      cd.model().dff_jj();
-      if (score > 0 || (score == 0 && depth_est >= cd.level(root))) continue;
+                   static_cast<int64_t>(view.level(root))) *
+                      model_.dff_jj();
+      if (score > 0 || (score == 0 && depth_est >= view.level(root))) continue;
 
       if (!best || score < best->score ||
           (score == best->score && depth_est < best->depth_est)) {
@@ -126,8 +126,8 @@ std::size_t CutRewritingPass::run(Network& net) {
     // one is abandoned (its freshly created structure retracted so later
     // pricing never sees phantom edges), and one that realized no depth win
     // must stand on a strict JJ improvement.
-    if (new_root == root || cd.level(new_root) > cd.level(root) ||
-        (cd.level(new_root) == cd.level(root) && best->delta >= 0)) {
+    if (new_root == root || view.level(new_root) > view.level(root) ||
+        (view.level(new_root) == view.level(root) && best->delta >= 0)) {
       view.kill_dangling_from(size_before);
       ++abandoned;
       continue;

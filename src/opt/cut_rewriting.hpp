@@ -6,7 +6,7 @@
 /// (cut_enumeration.hpp, k = 4), matches each cut function
 /// against the precomputed structure database (rewrite_db.hpp — exact table
 /// lookup with an NPN-class fallback via npn.hpp), and prices a replacement
-/// in the unified JJ currency (cost/cost_delta.hpp):
+/// in the unified JJ currency (`rewrite_delta`, opt/jj_delta.hpp):
 ///
 ///     delta = structure JJ − MFFC JJ − splitter/DFF-spine reclaim,
 ///     score = delta + (est. new level − old level) · DFF marginal,

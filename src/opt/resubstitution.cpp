@@ -5,11 +5,12 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "cost/cost_delta.hpp"
+#include "incr/incremental_view.hpp"
 #include "network/equivalence.hpp"
 #include "network/mffc.hpp"
 #include "network/simulation.hpp"
 #include "obs/metrics.hpp"
+#include "opt/jj_delta.hpp"
 #include "solver/sat.hpp"
 
 namespace t1sfq {
@@ -51,7 +52,6 @@ std::size_t ResubstitutionPass::run(Network& net) {
   // land through the view; no O(n) refresh per commit.
   IncrementalView view(net, model_);
   view.set_full_recompute(!params_.incremental);
-  CostDelta cd(view);
 
   // Word-parallel signatures: kSimWords 64-bit words per node. The first word
   // pins the all-zero and all-one patterns into bits 0/1 so stuck-at signals
@@ -110,10 +110,10 @@ std::size_t ResubstitutionPass::run(Network& net) {
 
   for (NodeId target = 0; target < n0; ++target) {
     const Node& tn = net.node(target);
-    const bool donor_type = tn.type == GateType::Pi || tn.type == GateType::Const0 ||
-                            tn.type == GateType::Const1 || is_opt_gate(tn.type);
+    const bool donor_type =
+        tn.type == GateType::Pi || is_constant(tn.type) || is_opt_gate(tn.type);
 
-    if (alive[target] && is_opt_gate(tn.type) && cd.fanout(target) > 0) {
+    if (alive[target] && is_opt_gate(tn.type) && view.fanout(target) > 0) {
       // Gather signature-equal donors, plain and complemented.
       struct Candidate {
         NodeId donor;
@@ -124,7 +124,7 @@ std::size_t ResubstitutionPass::run(Network& net) {
       const uint64_t* tsig = &sig[static_cast<std::size_t>(target) * kSimWords];
 
       // The dying cone depends only on the target: compute it once.
-      const std::vector<NodeId> dying = mffc(net, target, cd.fanouts());
+      const std::vector<NodeId> dying = mffc(net, target, view.fanouts());
       bool cone_clean = true;
       for (const NodeId d : dying) {
         if (!is_opt_gate(net.node(d).type)) {
@@ -148,9 +148,9 @@ std::size_t ResubstitutionPass::run(Network& net) {
           }
           const bool have_not = invert && not_of.count(donor) > 0;
           const uint32_t new_lvl =
-              invert ? (have_not ? cd.level(not_of[donor]) : cd.level(donor) + 1)
-                     : cd.level(donor);
-          if (new_lvl > cd.level(target)) continue;  // depth must never regress
+              invert ? (have_not ? view.level(not_of[donor]) : view.level(donor) + 1)
+                     : view.level(donor);
+          if (new_lvl > view.level(target)) continue;  // depth must never regress
           // A donor (or its inverter) inside the dying cone would survive the
           // substitution, invalidating the gain accounting: skip it.
           if (in_cone(donor) || (have_not && in_cone(not_of[donor]))) continue;
@@ -165,8 +165,8 @@ std::size_t ResubstitutionPass::run(Network& net) {
           // fresh inverter is bounded only by the donor below (new_lvl <=
           // target level was enforced above).
           const NodeId existing = have_not ? not_of[donor] : kNullNode;
-          int64_t cost_delta = cd.resub_delta(target, dying, donor, invert, existing);
-          const Stage target_lvl = static_cast<Stage>(cd.level(target));
+          int64_t cost_delta = resub_delta(view, target, dying, donor, invert, existing);
+          const Stage target_lvl = static_cast<Stage>(view.level(target));
           Stage pin_at, baseline;
           if (invert && !have_not) {
             pin_at = target_lvl;
@@ -180,7 +180,7 @@ std::size_t ResubstitutionPass::run(Network& net) {
           if (pin_at != baseline) {  // zero slide reprices identically
             cost_delta = std::min(
                 cost_delta,
-                cd.resub_delta(target, dying, donor, invert, existing, pin_at));
+                resub_delta(view, target, dying, donor, invert, existing, pin_at));
           }
           if (cost_delta >= 0) continue;
           candidates.push_back({donor, invert, cost_delta});

@@ -12,7 +12,7 @@
 /// not just save its MFFC's gates: the donor's DFF spine must now stretch to
 /// the absorbed consumers, the spines and fanout splitters of the dying cone
 /// disappear, and the donor pin picks up splitters for its new consumers.
-/// Candidates are priced by `CostDelta::resub_delta` (cost/cost_delta.hpp) in
+/// Candidates are priced by `resub_delta` (opt/jj_delta.hpp) in
 /// the unified JJ currency — gate bodies + clock shares + splitters + the
 /// shared-spine DFF model of `plan_dffs` evaluated on ASAP stages — and a
 /// substitution is committed only when that delta improves. Donors never sit

@@ -149,8 +149,4 @@ std::string canonical_text(const PhysicalNetlist& phys) {
   return ss.str();
 }
 
-uint64_t canonical_signature(const PhysicalNetlist& phys) {
-  return fnv1a(canonical_text(phys));
-}
-
 }  // namespace t1sfq::service

@@ -39,7 +39,4 @@ uint64_t exact_signature(const Network& net);
 /// Id-independent canonical serialization of a physical netlist + schedule.
 std::string canonical_text(const PhysicalNetlist& phys);
 
-/// FNV-1a of `canonical_text` (cheap equality witness for logs/records).
-uint64_t canonical_signature(const PhysicalNetlist& phys);
-
 }  // namespace t1sfq::service

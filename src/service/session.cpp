@@ -171,7 +171,7 @@ EcoFallback EcoSession::eligibility_(const NetDiff& d, const Network& clean,
   for (const NodeId n : d.dirty_new) {
     const GateType t = clean.node(n).type;
     if (t == GateType::T1 || t == GateType::T1Port) return EcoFallback::T1Region;
-    if (t == GateType::Const0 || t == GateType::Const1) return EcoFallback::ConstEdit;
+    if (is_constant(t)) return EcoFallback::ConstEdit;
     const Node& nn = clean.node(n);
     for (uint8_t i = 0; i < nn.num_fanins; ++i) {
       const NodeId old = d.new_to_old[nn.fanin(i)];

@@ -38,6 +38,20 @@ struct MultiphaseConfig {
     return (gap + phases - 1) / phases - 1;
   }
 
+  /// Paper eq. 5, for a T1 input that must land at exactly stage \p at from a
+  /// producer at \p from (T1 fanins take slots one to three stages before
+  /// the body): the chain rides `landing_spine` DFFs of the producer's shared
+  /// spine, each n stages after the last, and needs one dedicated landing
+  /// DFF of its own when \p at is off that spine. Together they are
+  /// `dffs_on_edge(from, at) + 1` for a real gap, and 0 when \p at == \p from
+  /// (the producer itself lands). Callers reject \p at < \p from first.
+  Stage landing_spine(Stage from, Stage at) const {
+    return at > from ? (at - from) / phases : 0;
+  }
+  bool landing_dedicated(Stage from, Stage at) const {
+    return at > from && (at - from) % phases != 0;
+  }
+
   /// Latency of stage \p sigma in clock cycles (what the paper's Table I
   /// "Depth" column reports): the epoch of the last firing, counting the
   /// PIs' epoch as cycle zero, i.e. ceil(sigma / n).

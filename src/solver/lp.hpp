@@ -29,7 +29,6 @@ public:
   int num_vars() const { return static_cast<int>(objective_.size()); }
   int num_rows() const { return static_cast<int>(rows_.size()); }
 
-  void set_objective(int var, double coeff) { objective_[var] = coeff; }
   double objective(int var) const { return objective_[var]; }
   double lower_bound(int var) const { return lb_[var]; }
   double upper_bound(int var) const { return ub_[var]; }

@@ -48,6 +48,24 @@ TEST(Clocking, CyclesIsCeilOfStageOverPhases) {
   EXPECT_EQ(clk.cycles(128 * 4), 128);
 }
 
+TEST(Clocking, LandingSplitsIntoSpineAndDedicatedDffs) {
+  // Paper eq. 5: a T1 input landing `gap` stages after its producer rides
+  // landing_spine DFFs of the shared spine plus one dedicated DFF when the
+  // slot is off the spine — one more than a plain edge of that gap needs.
+  for (unsigned n = 1; n <= 8; ++n) {
+    const MultiphaseConfig clk{n};
+    for (Stage gap = 0; gap <= 4 * static_cast<Stage>(n); ++gap) {
+      const Stage from = 3;
+      const Stage at = from + gap;
+      const Stage total = clk.landing_spine(from, at) + clk.landing_dedicated(from, at);
+      EXPECT_EQ(total, gap == 0 ? 0 : clk.dffs_on_edge(from, at) + 1)
+          << "n=" << n << " gap=" << gap;
+      EXPECT_EQ(clk.landing_dedicated(from, at), clk.landing_spine(from, at) * n != gap)
+          << "n=" << n << " gap=" << gap;
+    }
+  }
+}
+
 class ClockingSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ClockingSweep, DffCountMatchesClosedForm) {

@@ -1,5 +1,5 @@
 /// Unit and regression tests for the unified JJ cost-model layer (src/cost/):
-/// CostModel arithmetic and breakdowns, CostDelta pricing primitives, the
+/// CostModel arithmetic and breakdowns, the opt passes' JJ-delta pricing, the
 /// library-keyed rewrite database with its on-disk cache, and the end-to-end
 /// properties the layer exists for — T1 detection winning on *optimized*
 /// full-adder netlists again, and a non-default CellLibrary genuinely
@@ -16,11 +16,12 @@
 #include "benchmarks/epfl.hpp"
 #include "benchmarks/suite.hpp"
 #include "core/flow.hpp"
-#include "cost/cost_delta.hpp"
 #include "cost/cost_model.hpp"
 #include "cost/disk_cache.hpp"
+#include "incr/incremental_view.hpp"
 #include "network/equivalence.hpp"
 #include "network/simulation.hpp"
+#include "opt/jj_delta.hpp"
 #include "opt/rewrite_db.hpp"
 
 namespace t1sfq {
@@ -126,7 +127,7 @@ TEST(CostModel, NetworkBreakdownHandlesT1Stages) {
 }
 
 // ---------------------------------------------------------------------------
-// CostDelta
+// Cost deltas of local edits: the view's spines and opt/jj_delta.hpp
 // ---------------------------------------------------------------------------
 
 TEST(CostDelta, SpineAndConePricing) {
@@ -140,13 +141,12 @@ TEST(CostDelta, SpineAndConePricing) {
   }
   net.add_po(x);
   const CostModel m{CellLibrary{}, AreaConfig{}, MultiphaseConfig{4}};
-  IncrementalView view(net, m);
-  const CostDelta cd(view);
+  const IncrementalView view(net, m);
   // b feeds consumers at levels 1..9 from level 0: spine = ceil(9/4)-1 = 2.
-  EXPECT_EQ(cd.spine(b), 2);
-  EXPECT_EQ(cd.spine(a), 0);  // only consumer at level 1
+  EXPECT_EQ(view.spine(b), 2);
+  EXPECT_EQ(view.spine(a), 0);  // only consumer at level 1
   // Cone of one And2 costs body + clock share.
-  EXPECT_EQ(cd.cone_jj({x}), m.cell_jj(GateType::And2));
+  EXPECT_EQ(m.cone_jj(net, {x}), m.cell_jj(GateType::And2));
 }
 
 TEST(CostDelta, ResubDeltaPrefersSharingAndReclaimsTheCone) {
@@ -161,10 +161,9 @@ TEST(CostDelta, ResubDeltaPrefersSharingAndReclaimsTheCone) {
   net.add_po(donor);
   net.add_po(net.add_or(target_inv, a));
   const CostModel m{CellLibrary{}, AreaConfig{}, MultiphaseConfig{4}};
-  IncrementalView view(net, m);
-  const CostDelta cd(view);
+  const IncrementalView view(net, m);
   const std::vector<NodeId> cone{target_inv, target};
-  const int64_t delta = cd.resub_delta(target_inv, cone, donor, false, kNullNode);
+  const int64_t delta = resub_delta(view, target_inv, cone, donor, false, kNullNode);
   // Nand2 + Not die (11+1 + 9+1 = 22 JJ); the donor pin gains one splitter.
   EXPECT_LT(delta, 0);
   EXPECT_LE(delta, -(m.cell_jj(GateType::Nand2) + m.cell_jj(GateType::Not)) +
@@ -194,12 +193,11 @@ TEST(CostDelta, SlackAwareDonorPricingChargesBothSidesOfTheSlide) {
     }
     const NodeId sink = net.add_and(deep, b);  // consumer at level 10
     net.add_po(sink);
-    IncrementalView view(net, m);
-    const CostDelta cd(view);
+    const IncrementalView view(net, m);
     const std::vector<NodeId> cone{deep};
-    const int64_t asap_priced = cd.resub_delta(deep, cone, donor, false, kNullNode);
+    const int64_t asap_priced = resub_delta(view, deep, cone, donor, false, kNullNode);
     const int64_t slid_priced =
-        cd.resub_delta(deep, cone, donor, false, kNullNode, Stage{6});
+        resub_delta(view, deep, cone, donor, false, kNullNode, Stage{6});
     EXPECT_EQ(asap_priced - slid_priced, m.dff_jj());
   }
 
@@ -218,13 +216,11 @@ TEST(CostDelta, SlackAwareDonorPricingChargesBothSidesOfTheSlide) {
       deep = net.add_xor(deep, b);  // levels 3..5
     }
     net.add_po(deep);  // sink at 6
-    IncrementalView view(net, m);
-    const CostDelta cd(view);
+    const IncrementalView view(net, m);
     const std::vector<NodeId> cone{deep};
-    const int64_t asap_priced = cd.resub_delta(deep, cone, donor, false, kNullNode);
-    const int64_t slid_priced =
-        cd.resub_delta(deep, cone, donor, false, kNullNode,
-                       std::min(view.alap(donor), Stage{5}));
+    const int64_t asap_priced = resub_delta(view, deep, cone, donor, false, kNullNode);
+    const int64_t slid_priced = resub_delta(view, deep, cone, donor, false, kNullNode,
+                                            std::min(view.alap(donor), Stage{5}));
     EXPECT_EQ(view.alap(donor), 5);  // dangling: only the sink bounds it
     EXPECT_GE(slid_priced, asap_priced);
   }

@@ -334,7 +334,9 @@ std::array<int, 3> reference_slot_perm(const std::array<Stage, 3>& sd, Stage sj,
 /// `t1_slot_perm` picks the loop's slots and cost on every stage tuple of a
 /// box wide enough for multi-DFF chains, infeasible tuples (a producer at
 /// or past a slot) included. The body reads one producer through another
-/// body's tap, which carries no stage of its own.
+/// body's tap, which carries no stage of its own. On the same box the slot
+/// model and eq. 3 agree: `t1_slot_order` finds a feasible order exactly
+/// when the body sits at or after `t1_body_stage` of its producers.
 TEST(T1SlotPerm, MatchesThePermutationLoopOnEveryStageTuple) {
   constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
   Network net;
@@ -365,9 +367,14 @@ TEST(T1SlotPerm, MatchesThePermutationLoopOnEveryStageTuple) {
             int64_t want_cost = 0;
             int64_t got_cost = 0;
             const auto want = reference_slot_perm(sd, sj, n, &want_cost);
-            ASSERT_EQ(t1_slot_perm(net, stage, body, n, &got_cost), want)
+            const MultiphaseConfig clk{static_cast<unsigned>(n)};
+            ASSERT_EQ(t1_slot_perm(net, stage, body, clk, &got_cost), want)
                 << "n " << n << ", body " << sj << ", producers " << s0 << " " << s1 << " " << s2;
             ASSERT_EQ(got_cost, want_cost);
+            int64_t order_cost = 0;
+            t1_slot_order(sd, sj, clk, &order_cost);
+            ASSERT_EQ(order_cost < kInf, sj >= t1_body_stage(s0, s1, s2))
+                << "n " << n << ", body " << sj << ", producers " << s0 << " " << s1 << " " << s2;
             (want_cost >= kInf ? infeasible : feasible) += 1;
           }
         }

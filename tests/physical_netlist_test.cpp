@@ -135,11 +135,7 @@ TEST(PlanProperties, T1SlotsAreAPermutationAndFeasible) {
     if (st1 < std::max({sd[0] + 3, sd[1] + 2, sd[2] + 1})) {
       continue;  // infeasible draw
     }
-    const MultiphaseConfig clk{4};
-    const auto plan = plan_dffs(net, stage, st1 + 1, clk);
-    const auto it = plan.t1_slots.find(t1);
-    ASSERT_NE(it, plan.t1_slots.end());
-    auto slots = it->second;
+    const auto slots = t1_slot_perm(net, stage, t1, MultiphaseConfig{4});
     std::array<int, 3> sorted = slots;
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(sorted, (std::array<int, 3>{1, 2, 3}));
