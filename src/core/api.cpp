@@ -37,25 +37,33 @@ const char* to_string(FlowTier tier) {
   return "cold";
 }
 
-FlowResponse run_flow(const FlowRequest& request) {
+FlowResponse flow_response(const FlowResult& result, bool with_netlist) {
   FlowResponse resp;
-  resp.tier = FlowTier::Cold;
-  try {
-    const FlowResult res = run_flow(request.network, request.to_flow_params());
-    resp.ok = true;
-    resp.metrics = res.metrics;
-    resp.timings = res.timings;
-    if (request.return_netlist) {
-      std::ostringstream ss;
-      write_blif(res.physical.net, ss);
-      resp.netlist_blif = ss.str();
-    }
-  } catch (const std::exception& e) {
-    resp.ok = false;
-    resp.error = error_code_of(e);
-    resp.message = e.what();
+  resp.ok = true;
+  resp.metrics = result.metrics;
+  resp.timings = result.timings;
+  if (with_netlist) {
+    std::ostringstream ss;
+    write_blif(result.physical.net, ss);
+    resp.netlist_blif = ss.str();
   }
   return resp;
+}
+
+FlowResponse error_response(const std::exception& e) {
+  FlowResponse resp;
+  resp.error = error_code_of(e);
+  resp.message = e.what();
+  return resp;
+}
+
+FlowResponse run_flow(const FlowRequest& request) {
+  try {
+    return flow_response(run_flow(request.network, request.to_flow_params()),
+                         request.return_netlist);
+  } catch (const std::exception& e) {
+    return error_response(e);
+  }
 }
 
 }  // namespace t1sfq

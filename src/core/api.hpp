@@ -23,6 +23,7 @@
 /// error responses, the same way the wire reports them.
 
 #include <cstdint>
+#include <exception>
 #include <string>
 
 #include "core/error.hpp"
@@ -115,6 +116,16 @@ struct FlowResponse {
   FlowTimings timings{};
   std::string netlist_blif;  ///< physical netlist, when requested
 };
+
+/// The ok response of a finished flow: its metrics, its timings and, when
+/// \p with_netlist, its physical netlist as BLIF. The tier is Cold and the
+/// cache key 0; the service stamps both for the tier that served. Every tier
+/// of the daemon and the in-process binding answer through this one builder.
+FlowResponse flow_response(const FlowResult& result, bool with_netlist);
+
+/// The typed error response of a failed flow: `error_code_of(e)` and
+/// `e.what()`.
+FlowResponse error_response(const std::exception& e);
 
 /// In-process binding of the stable surface: runs the flow described by
 /// \p request and reports the outcome as a structured response. Never throws

@@ -196,6 +196,21 @@ FlowResponse parse_response_object(const json::Value& obj) {
   return resp;
 }
 
+/// A response document: a JSON object tagged with the schema every encoder
+/// writes. Throws ParseError otherwise.
+json::Value parse_response_document(const std::string& payload) {
+  std::optional<json::Value> doc = json::parse(payload);
+  if (!doc || !doc->is_object()) {
+    throw ParseError("response: malformed JSON payload");
+  }
+  const std::string schema = get_string(*doc, "schema");
+  if (schema != kFlowSchema) {
+    throw ParseError("response: unsupported schema '" + schema + "' (expected " +
+                     std::string(kFlowSchema) + ")");
+  }
+  return std::move(*doc);
+}
+
 }  // namespace
 
 bool read_frame(std::istream& in, std::string& payload) {
@@ -336,20 +351,13 @@ std::string encode_error(ErrorCode code, const std::string& message) {
 }
 
 FlowResponse parse_response(const std::string& payload) {
-  const std::optional<json::Value> doc = json::parse(payload);
-  if (!doc || !doc->is_object()) {
-    throw ParseError("response: malformed JSON payload");
-  }
-  return parse_response_object(*doc);
+  return parse_response_object(parse_response_document(payload));
 }
 
 std::vector<FlowResponse> parse_batch_response(const std::string& payload) {
-  const std::optional<json::Value> doc = json::parse(payload);
-  if (!doc || !doc->is_object()) {
-    throw ParseError("response: malformed JSON payload");
-  }
+  const json::Value doc = parse_response_document(payload);
   std::vector<FlowResponse> out;
-  if (const json::Value* results = doc->find("results"); results && results->is_array()) {
+  if (const json::Value* results = doc.find("results"); results && results->is_array()) {
     out.reserve(results->items.size());
     for (const json::Value& item : results->items) {
       out.push_back(parse_response_object(item));

@@ -65,17 +65,19 @@ std::string encode_flow_request(const FlowRequest& req);
 std::string encode_batch_request(const std::vector<FlowRequest>& reqs,
                                  unsigned threads = 0);
 
-/// Server-side encoders. `encode_response` is also the warm-cache blob format
-/// (tier/cache_key are patched at serve time by re-encoding).
+/// Server-side encoders. `encode_response` is also the format of the warm
+/// cache's disk blobs.
 std::string encode_response(const FlowResponse& resp);
 std::string encode_batch_response(const std::vector<FlowResponse>& resps);
 std::string encode_error(ErrorCode code, const std::string& message);
 
-/// Decodes a flow response (client side + warm-cache reads). Throws
-/// ParseError on malformed payloads.
+/// Decodes a flow response (client side + disk-blob reads). Throws
+/// ParseError on malformed payloads and on any schema other than
+/// `t1sfq-flow-v1`.
 FlowResponse parse_response(const std::string& payload);
 
 /// Extracts the per-item responses of a batch reply, in request order.
+/// Throws like `parse_response`.
 std::vector<FlowResponse> parse_batch_response(const std::string& payload);
 
 }  // namespace t1sfq::service

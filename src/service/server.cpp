@@ -7,7 +7,6 @@
 
 #include "benchmarks/runner.hpp"
 #include "cost/disk_cache.hpp"
-#include "network/io.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "service/canonical.hpp"
@@ -66,28 +65,17 @@ bool Server::cache_get_(uint64_t key, FlowResponse& resp) {
       lru_.erase(it->second.second);
       lru_.push_front(key);
       it->second.second = lru_.begin();
-      try {
-        resp = parse_response(it->second.first);
-        return true;
-      } catch (const std::exception&) {
-        lru_.erase(it->second.second);
-        cache_.erase(it);
-      }
+      resp = it->second.first;
+      return true;
     }
   }
   if (disk_dir_.empty()) return false;
   const std::optional<std::vector<uint8_t>> blob = read_blob(disk_path_(key));
   if (!blob) return false;
-  const std::string payload(blob->begin(), blob->end());
   try {
-    // The blob is a full encoded response: validate the schema tag and that
-    // the embedded key echoes the filename before trusting it.
-    const std::optional<json::Value> doc = json::parse(payload);
-    const json::Value* schema = doc ? doc->find("schema") : nullptr;
-    if (!schema || !schema->is_string() || schema->string != kFlowSchema) {
-      throw CacheCorruptionError("service cache: blob schema mismatch");
-    }
-    resp = parse_response(payload);
+    // The blob is a full encoded response: parse_response validates the
+    // schema tag; the embedded key must echo the filename.
+    resp = parse_response(std::string(blob->begin(), blob->end()));
     if (resp.cache_key != key || !resp.ok) {
       throw CacheCorruptionError("service cache: blob key mismatch");
     }
@@ -101,18 +89,17 @@ bool Server::cache_get_(uint64_t key, FlowResponse& resp) {
   std::lock_guard<std::mutex> lock(mu_);
   if (cfg_.cache_entries > 0 && cache_.find(key) == cache_.end()) {
     lru_.push_front(key);
-    cache_[key] = {payload, lru_.begin()};
+    cache_[key] = {resp, lru_.begin()};
   }
   return true;
 }
 
 void Server::cache_put_(uint64_t key, const FlowResponse& resp) {
-  const std::string payload = encode_response(resp);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (cfg_.cache_entries > 0 && cache_.find(key) == cache_.end()) {
       lru_.push_front(key);
-      cache_[key] = {payload, lru_.begin()};
+      cache_[key] = {resp, lru_.begin()};
       while (cache_.size() > cfg_.cache_entries) {
         cache_.erase(lru_.back());
         lru_.pop_back();
@@ -120,35 +107,26 @@ void Server::cache_put_(uint64_t key, const FlowResponse& resp) {
     }
   }
   if (!disk_dir_.empty()) {
+    const std::string payload = encode_response(resp);
     write_blob(disk_path_(key), std::vector<uint8_t>(payload.begin(), payload.end()));
   }
 }
 
-FlowResponse Server::cached_flow_(const FlowRequest& request) {
-  Network clean = request.network.cleanup();
-  const uint64_t key = fnv1a(request.config_signature(), exact_signature(clean));
+FlowResponse Server::cached_flow_(const FlowRequest& request, const Network& clean,
+                                  uint64_t key) {
   FlowResponse resp;
   if (cache_get_(key, resp)) {
     resp.tier = FlowTier::Warm;
-    resp.cache_key = key;
     return resp;
   }
-  resp.tier = FlowTier::Cold;
-  resp.cache_key = key;
   try {
-    const FlowResult res = run_flow(clean, request.to_flow_params());
-    resp.ok = true;
-    resp.metrics = res.metrics;
-    resp.timings = res.timings;
-    std::ostringstream blif;
-    write_blif(res.physical.net, blif);
-    resp.netlist_blif = blif.str();  // cached with the netlist, stripped later
-    cache_put_(key, resp);
+    // Cached with the netlist; dispatch strips it for a request not asking.
+    resp = flow_response(run_flow(clean, request.to_flow_params()), /*with_netlist=*/true);
   } catch (const std::exception& e) {
-    resp.ok = false;
-    resp.error = error_code_of(e);
-    resp.message = e.what();
+    return error_response(e);
   }
+  resp.cache_key = key;
+  cache_put_(key, resp);
   return resp;
 }
 
@@ -157,9 +135,11 @@ FlowResponse Server::dispatch(const FlowRequest& request) {
   obs::count("service.requests");
   const Clock::time_point t0 = Clock::now();
 
+  Network clean = request.network.cleanup();
+  const uint64_t key = fnv1a(request.config_signature(), exact_signature(clean));
   FlowResponse resp;
   EcoFallback fallback = EcoFallback::None;
-  if (!request.session.empty()) {
+  if (!request.session.empty() && !request.optimize) {
     EcoSession* session = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -167,14 +147,14 @@ FlowResponse Server::dispatch(const FlowRequest& request) {
       if (!slot) slot = std::make_unique<EcoSession>(request.session);
       session = slot.get();
     }
-    SessionServe served = session->serve(request, cfg_.session);
+    SessionServe served = session->serve(request, std::move(clean), key, cfg_.session);
     resp = std::move(served.response);
     fallback = served.fallback;
-    if (!request.return_netlist) resp.netlist_blif.clear();
   } else {
-    resp = cached_flow_(request);
-    if (!request.return_netlist) resp.netlist_blif.clear();
+    resp = cached_flow_(request, clean, key);
   }
+  resp.cache_key = key;
+  if (!request.return_netlist) resp.netlist_blif.clear();
 
   const uint64_t us = us_since(t0);
   {

@@ -9,14 +9,20 @@
 /// (tools/t1sfqd.cpp). It never throws out of a request: every failure is
 /// encoded as a structured error response.
 ///
-/// Three serving tiers per flow request (obs counters in parentheses):
+/// `dispatch` cleans the request's network once and keys it once (FNV-1a
+/// over the config signature and the exact cleaned-netlist state), then
+/// moves both into one of two tiers: the session of a request that names
+/// one and leaves the optimizer off (the only requests ECO can serve), else
+/// the stateless response cache. Every answer is built by `flow_response` /
+/// `error_response` (core/api.hpp). Three serving tiers per flow request
+/// (obs counters in parentheses):
 ///
-///   * **warm** (`service.cache.warm`) — the FNV-1a key over the exact
-///     cleaned-netlist state + the config signature hits the result cache;
-///     the stored response is served without running anything. The cache is
-///     an in-memory LRU layered over the versioned on-disk blob store
-///     (cost/disk_cache.hpp), so warm hits survive daemon restarts; blobs
-///     that fail validation count `service.cache.corrupt` and miss.
+///   * **warm** (`service.cache.warm`) — the key hits the response cache, or
+///     names the state a session holds; the stored response is served
+///     without running anything. The cache is an in-memory LRU of responses
+///     layered over the versioned on-disk blob store (cost/disk_cache.hpp),
+///     so warm hits survive daemon restarts; blobs that fail validation
+///     count `service.cache.corrupt` and miss.
 ///   * **eco** (`service.cache.eco`) — the request names a session and the
 ///     edit is eligible: incremental re-synthesis (service/session.hpp).
 ///   * **cold** (`service.cache.cold`) — everything else: full flow.
@@ -88,7 +94,7 @@ class Server {
 
  private:
   std::string handle_op_(const Request& req);
-  FlowResponse cached_flow_(const FlowRequest& request);
+  FlowResponse cached_flow_(const FlowRequest& request, const Network& clean, uint64_t key);
   bool cache_get_(uint64_t key, FlowResponse& resp);
   void cache_put_(uint64_t key, const FlowResponse& resp);
   std::string disk_path_(uint64_t key) const;
@@ -98,9 +104,9 @@ class Server {
   Stats stats_;
   bool shutdown_ = false;
 
-  // In-memory warm cache: key → encoded response, LRU eviction.
+  // In-memory warm cache: key → response (netlist included), LRU eviction.
   std::list<uint64_t> lru_;
-  std::map<uint64_t, std::pair<std::string, std::list<uint64_t>::iterator>> cache_;
+  std::map<uint64_t, std::pair<FlowResponse, std::list<uint64_t>::iterator>> cache_;
 
   std::map<std::string, std::unique_ptr<EcoSession>> sessions_;
   std::string disk_dir_;  ///< resolved blob directory ("" = disabled)

@@ -2,12 +2,9 @@
 
 #include <chrono>
 #include <optional>
-#include <sstream>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "incr/incremental_view.hpp"
-#include "network/io.hpp"
 #include "obs/metrics.hpp"
 #include "service/canonical.hpp"
 
@@ -21,17 +18,12 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-uint64_t request_key(const std::string& config_sig, const Network& clean) {
-  return fnv1a(config_sig, exact_signature(clean));
-}
-
 }  // namespace
 
 const char* to_string(EcoFallback fallback) {
   switch (fallback) {
     case EcoFallback::None: return "none";
     case EcoFallback::ConfigChanged: return "config_changed";
-    case EcoFallback::OptEnabled: return "opt_enabled";
     case EcoFallback::NotComparable: return "not_comparable";
     case EcoFallback::PoReroute: return "po_reroute";
     case EcoFallback::TooLarge: return "too_large";
@@ -56,99 +48,75 @@ struct EcoSession::State {
 EcoSession::EcoSession(std::string id) : id_(std::move(id)) {}
 EcoSession::~EcoSession() = default;
 
-SessionServe EcoSession::serve(const FlowRequest& request, const SessionConfig& cfg) {
+SessionServe EcoSession::serve(const FlowRequest& request, Network clean, uint64_t key,
+                               const SessionConfig& cfg) {
   std::lock_guard<std::mutex> lock(mu_);
   obs::ScopedEnable obs_scope(request.observe);
   SessionServe out;
-  out.response.tier = FlowTier::Cold;
   try {
-    if (established_ && request.config_signature() != config_sig_) {
-      established_ = false;
+    FlowTier tier = FlowTier::Cold;
+    if (!state_) {
+      establish_(request, std::move(clean), key);
+    } else if (key == last_key_) {
+      tier = FlowTier::Warm;
+    } else if (request.config_signature() != config_sig_) {
       out.fallback = EcoFallback::ConfigChanged;
-    }
-    if (!established_) {
-      establish_(request, out.response);
-    } else if (!eco_capable_) {
-      out.fallback = EcoFallback::OptEnabled;
-      establish_(request, out.response);
+      establish_(request, std::move(clean), key);
     } else {
-      Network clean = request.network.cleanup();
-      const uint64_t key = request_key(config_sig_, clean);
-      if (key == last_key_) {
-        out.response = last_;
-        out.response.tier = FlowTier::Warm;
+      std::vector<uint64_t> clean_signatures = node_signatures(clean);
+      const NetDiff d = diff_networks(base_, base_signatures_, clean, clean_signatures);
+      out.fallback = eligibility_(d, clean, cfg);
+      if (out.fallback != EcoFallback::None) {
+        establish_(request, std::move(clean), key);
+      } else if (d.identical()) {
+        // Pure renumbering: the session's held result is served (a from-
+        // scratch run on the renumbered input could tie-break differently;
+        // the session's answer is the one its base numbering produced).
+        last_key_ = key;
+        tier = FlowTier::Warm;
       } else {
-        std::vector<uint64_t> clean_signatures = node_signatures(clean);
-        const NetDiff d = diff_networks(base_, base_signatures_, clean, clean_signatures);
-        const EcoFallback why = eligibility_(d, clean, cfg);
-        if (why != EcoFallback::None) {
-          out.fallback = why;
-          establish_(request, out.response);
-        } else if (d.identical()) {
-          // Pure renumbering: the session's held result is served (a from-
-          // scratch run on the renumbered input could tie-break differently;
-          // the session's answer is the one its base numbering produced).
-          last_key_ = key;
-          out.response = last_;
-          out.response.tier = FlowTier::Warm;
-        } else {
-          apply_eco_(d, clean, out.response);
-          base_signatures_ = std::move(clean_signatures);  // clean is the new base
-          last_key_ = key;
-          if (cfg.verify) {
-            const FlowResult cold = run_flow(base_, params_);
-            if (canonical_text(cold.physical) != canonical_text(state_->result.physical)) {
-              out.fallback = EcoFallback::Mismatch;
-              establish_(request, out.response);
-            }
+        apply_eco_(d, std::move(clean));
+        base_signatures_ = std::move(clean_signatures);  // clean is the new base
+        last_key_ = key;
+        tier = FlowTier::Eco;
+        if (cfg.verify) {
+          const FlowResult cold = run_flow(base_, params_);
+          if (canonical_text(cold.physical) != canonical_text(state_->result.physical)) {
+            out.fallback = EcoFallback::Mismatch;
+            tier = FlowTier::Cold;
+            establish_(request, std::move(base_), key);
           }
         }
       }
     }
-    out.response.cache_key = last_key_;
-    out.response.netlist_blif = request.return_netlist ? netlist_blif_() : std::string();
+    out.response = flow_response(state_->result, request.return_netlist);
+    out.response.tier = tier;
   } catch (const std::exception& e) {
-    established_ = false;  // state may be half-updated; next request rebuilds
-    out.response = FlowResponse{};
-    out.response.ok = false;
-    out.response.error = error_code_of(e);
-    out.response.message = e.what();
+    state_.reset();  // state may be half-updated; next request rebuilds
+    out.response = error_response(e);
   }
   return out;
 }
 
-void EcoSession::establish_(const FlowRequest& request, FlowResponse& resp) {
-  resp.tier = FlowTier::Cold;
+void EcoSession::establish_(const FlowRequest& request, Network clean, uint64_t key) {
   params_ = request.to_flow_params();
   config_sig_ = request.config_signature();
-  eco_capable_ = !params_.opt.enable;
 
   const Clock::time_point t0 = Clock::now();
-  // The flow runs on the cleaned network the session keeps as its base, as
-  // the server's stateless tier does; cleanup is idempotent, so the result
-  // is run_flow's on the request's own network.
-  Network clean = request.network.cleanup();
   state_.reset();  // old view dies before its network
   state_ = std::make_unique<State>();
   run_logical_flow(clean, params_, state_->result, state_->view);
   base_ = std::move(clean);
-  finish_flow_(t0, resp);
+  finish_flow_(t0);
 
-  if (eco_capable_) {
-    // Recover the base→mapped correspondence: to the matcher, the T1 rewrite
-    // is just a set of replacements, so surviving nodes pair up exactly. The
-    // base's signatures are kept for diffing the next edit against it.
-    base_signatures_ = node_signatures(base_);
-    const Network& mapped = state_->result.mapped;
-    base_map_ =
-        diff_networks(base_, base_signatures_, mapped, node_signatures(mapped)).old_to_new;
-  } else {
-    base_map_.clear();
-    base_signatures_.clear();
-  }
-  last_key_ = request_key(config_sig_, base_);
-  resp.cache_key = last_key_;
-  established_ = true;
+  // Recover the base→mapped correspondence: to the matcher, the T1 rewrite
+  // is just a set of replacements, so surviving nodes pair up exactly. The
+  // base's signatures are kept for diffing the next edit against it.
+  base_signatures_ = node_signatures(base_);
+  const Network& mapped = state_->result.mapped;
+  base_map_ =
+      diff_networks(base_, base_signatures_, mapped, node_signatures(mapped)).old_to_new;
+  last_key_ = key;
 }
 
 EcoFallback EcoSession::eligibility_(const NetDiff& d, const Network& clean,
@@ -220,7 +188,7 @@ EcoFallback EcoSession::eligibility_(const NetDiff& d, const Network& clean,
   return EcoFallback::None;
 }
 
-void EcoSession::apply_eco_(const NetDiff& d, Network& clean, FlowResponse& resp) {
+void EcoSession::apply_eco_(const NetDiff& d, Network clean) {
   FlowResult& res = state_->result;
   Network& mapped = res.mapped;
   IncrementalView& view = *state_->view;
@@ -276,37 +244,17 @@ void EcoSession::apply_eco_(const NetDiff& d, Network& clean, FlowResponse& resp
   base_ = std::move(clean);
   res.timings.detect_ms = ms_since(t0);  // diff+patch replaces the detection stage
 
-  finish_flow_(t0, resp);
-  resp.tier = FlowTier::Eco;
+  finish_flow_(t0);
 }
 
-void EcoSession::finish_flow_(Clock::time_point t_start, FlowResponse& resp) {
+void EcoSession::finish_flow_(Clock::time_point t_start) {
   FlowResult& res = state_->result;
-  last_netlist_.clear();  // describes the previous physical netlist
   run_physical_flow(base_, params_, res, *state_->view);
   res.timings.total_ms = ms_since(t_start);
-
-  resp.ok = true;
-  resp.error = ErrorCode::Internal;
-  resp.message.clear();
-  resp.metrics = res.metrics;
-  resp.timings = res.timings;
-
   // The physical netlist carries its own stages: the assignment is not
   // needed again.
   res.assignment = PhaseAssignment{};
-  last_ = resp;
-  last_.netlist_blif.clear();
   obs::count("service.session.flows");
-}
-
-const std::string& EcoSession::netlist_blif_() {
-  if (last_netlist_.empty()) {
-    std::ostringstream blif;
-    write_blif(state_->result.physical.net, blif);
-    last_netlist_ = blif.str();
-  }
-  return last_netlist_;
 }
 
 }  // namespace t1sfq::service

@@ -15,9 +15,14 @@
 /// view survives via `rebind_after_cleanup`. Only the physical half re-runs
 /// (phase assignment seeded from the maintained view state, DFF insertion,
 /// metrics, the physics oracle); the committed T1 detection decisions are
-/// reused. The session holds the last physical netlist and writes its BLIF
+/// reused. The session answers from the flow result it holds, through the
+/// one response builder (core/api.hpp): it writes the physical netlist's BLIF
 /// only for a request that asks for the netlist (`return_netlist`), so a
 /// serve that does not ask pays no serialization.
+///
+/// The server hands every serve the request's network already cleaned and
+/// keyed, and routes only requests with the optimizer off here: every opt
+/// pass is global, so an optimized flow leaves nothing an edit could reuse.
 ///
 /// Contract: reusing detection is exact when the edit does not disturb the
 /// detection inputs — the eligibility checks below enforce the structural
@@ -46,7 +51,6 @@ namespace t1sfq::service {
 enum class EcoFallback {
   None,           ///< served as requested (cold first contact / warm / eco)
   ConfigChanged,  ///< knob surface differs from the session's — re-establish
-  OptEnabled,     ///< optimizer on: every pass is global, no incremental reuse
   NotComparable,  ///< PI/PO interface changed — a new circuit, not an edit
   PoReroute,      ///< a PO moved between surviving nodes (inexpressible edit)
   TooLarge,       ///< dirty region above the max_dirty_fraction threshold
@@ -86,41 +90,39 @@ class EcoSession {
 
   const std::string& id() const { return id_; }
 
-  /// Serves one request against this session. First contact (and every
-  /// fallback) establishes cold state; an unchanged resubmission serves the
-  /// held response as Warm; an eligible edit serves as Eco. Never throws —
-  /// failures come back as structured error responses.
-  SessionServe serve(const FlowRequest& request, const SessionConfig& cfg);
+  /// Serves one request against this session; \p clean is the request's
+  /// network after `cleanup()` and \p key its cache key (server.hpp). First
+  /// contact (and every fallback) establishes cold state; an unchanged
+  /// resubmission serves the held result as Warm; an eligible edit serves as
+  /// Eco. The response carries no cache key (the server stamps it). Never
+  /// throws — failures come back as structured error responses.
+  SessionServe serve(const FlowRequest& request, Network clean, uint64_t key,
+                     const SessionConfig& cfg);
 
  private:
   struct State;  // FlowResult + the view pinned to its mapped network (session.cpp)
 
-  void establish_(const FlowRequest& request, FlowResponse& resp);
+  void establish_(const FlowRequest& request, Network clean, uint64_t key);
   EcoFallback eligibility_(const NetDiff& d, const Network& clean,
                            const SessionConfig& cfg) const;
-  void apply_eco_(const NetDiff& d, Network& clean, FlowResponse& resp);
-  /// Runs the physical half on the held logical state against the base and
-  /// records the response (total time measured from \p t_start).
-  void finish_flow_(std::chrono::steady_clock::time_point t_start, FlowResponse& resp);
-  /// BLIF of the held physical netlist, written on first use after a flow.
-  const std::string& netlist_blif_();
+  void apply_eco_(const NetDiff& d, Network clean);
+  /// Runs the physical half on the held logical state against the base
+  /// (total time measured from \p t_start).
+  void finish_flow_(std::chrono::steady_clock::time_point t_start);
 
   std::string id_;
   mutable std::mutex mu_;
 
-  bool established_ = false;
-  bool eco_capable_ = false;
   std::string config_sig_;
-  uint64_t last_key_ = 0;
+  uint64_t last_key_ = 0;  ///< key of the request the held state answers
   FlowParams params_{};
 
   Network base_;                  ///< cleaned pre-detection network
-  std::vector<uint64_t> base_signatures_;  ///< node_signatures(base_) (ECO-capable only)
+  std::vector<uint64_t> base_signatures_;  ///< node_signatures(base_)
   std::vector<NodeId> base_map_;  ///< base id → mapped id (kNullNode: absorbed)
-  std::unique_ptr<State> state_;  ///< flow result (physical netlist held) + live view
-
-  FlowResponse last_;          ///< last successful response (netlist stripped)
-  std::string last_netlist_;   ///< BLIF of the held physical netlist ("": not written)
+  /// Flow result (physical netlist held) + live view; null until established
+  /// and after a failed serve.
+  std::unique_ptr<State> state_;
 };
 
 }  // namespace t1sfq::service

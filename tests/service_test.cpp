@@ -389,6 +389,44 @@ TEST(ServiceServer, ConfigChangeFallsBackCold) {
   EXPECT_EQ(r.tier, FlowTier::Cold);
 }
 
+TEST(ServiceServer, OptimizedSessionRequestIsServedStatelessly) {
+  // ECO cannot serve an optimized flow, so such a request opens no session:
+  // it is served cold, then warm on replay, from the response cache.
+  Server server(ServerConfig{.disk_cache = false});
+  FlowRequest req = request_for(sparse_random(400), "s");
+  req.optimize = true;
+  const FlowResponse cold = server.dispatch(req);
+  ASSERT_TRUE(cold.ok) << cold.message;
+  EXPECT_EQ(cold.tier, FlowTier::Cold);
+  const FlowResponse warm = server.dispatch(req);
+  ASSERT_TRUE(warm.ok) << warm.message;
+  EXPECT_EQ(warm.tier, FlowTier::Warm);
+  EXPECT_EQ(warm.cache_key, cold.cache_key);
+  EXPECT_EQ(warm.metrics.area_jj, cold.metrics.area_jj);
+  EXPECT_EQ(server.stats().sessions, 0u);
+  EXPECT_EQ(server.stats().eco_fallbacks, 0u);
+}
+
+TEST(ServiceServer, WarmHitReturnsTheColdNetlist) {
+  // The response cache holds the cold answer's netlist: a warm hit asking
+  // for it serves that text, and one not asking serves none.
+  Server server(ServerConfig{.disk_cache = false});
+  FlowRequest req = request_for(sparse_random(400));
+  req.return_netlist = true;
+  const FlowResponse cold = server.dispatch(req);
+  ASSERT_TRUE(cold.ok) << cold.message;
+  ASSERT_EQ(cold.tier, FlowTier::Cold);
+  ASSERT_FALSE(cold.netlist_blif.empty());
+  const FlowResponse warm = server.dispatch(req);
+  ASSERT_TRUE(warm.ok) << warm.message;
+  EXPECT_EQ(warm.tier, FlowTier::Warm);
+  EXPECT_EQ(warm.netlist_blif, cold.netlist_blif);
+  req.return_netlist = false;
+  const FlowResponse bare = server.dispatch(req);
+  EXPECT_EQ(bare.tier, FlowTier::Warm);
+  EXPECT_TRUE(bare.netlist_blif.empty());
+}
+
 // ---------------------------------------------------------------------------
 // Batch + transport
 // ---------------------------------------------------------------------------
