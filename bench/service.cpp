@@ -161,13 +161,8 @@ int main(int argc, char** argv) {
       warm_total ? static_cast<double>(warm_hits) / static_cast<double>(warm_total) : 0.0;
 
   // -- wire pass: replay through the JSON codec, plus one batch --------------
-  // The wire path serializes the netlist as BLIF; the round-trip renumbers
-  // nodes, so the first wire submission keys a different cache entry than the
-  // typed dispatches above. One untimed priming pass establishes the wire
-  // keys; the timed pass below must then be 100% warm.
-  for (const auto& c : circuits) {
-    server.handle(service::encode_flow_request(make_request(c.net)));
-  }
+  // The request's BLIF reads back as the same cells, so it keys the entries
+  // the typed dispatches above filled: every wire replay must be warm.
   std::size_t wire_requests = 0;
   const auto wire_t0 = clock_type::now();
   for (const auto& c : circuits) {

@@ -22,12 +22,6 @@ double ms_since(Clock::time_point start) {
 
 }  // namespace
 
-uint64_t physical_area_jj(const PhysicalNetlist& phys, const CellLibrary& lib,
-                          const AreaConfig& cfg) {
-  const CostModel model(lib, cfg, MultiphaseConfig{});
-  return model.physical_breakdown(phys.net, phys.num_splitters).total();
-}
-
 FlowResult run_flow(const Network& input, const FlowParams& params) {
   obs::ScopedEnable obs_scope(params.obs);
   obs::Span flow_span("flow", "gates_in", static_cast<int64_t>(input.num_gates()));

@@ -147,10 +147,6 @@ void run_logical_flow(const Network& input, const FlowParams& params,
 void run_physical_flow(const Network& golden, const FlowParams& params,
                        FlowResult& result, const IncrementalView& view);
 
-/// Area metric on a physical netlist (gates + DFFs + splitters + clock share).
-uint64_t physical_area_jj(const PhysicalNetlist& phys, const CellLibrary& lib,
-                          const AreaConfig& cfg);
-
 /// Full functional verification of a flow result against the original
 /// network: SAT equivalence of the mapped network plus pulse-level simulation
 /// of the physical netlist (timing legality + function).

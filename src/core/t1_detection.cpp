@@ -59,25 +59,6 @@ struct Candidate {
   int64_t gain = 0;
 };
 
-bool is_candidate_root(GateType type) {
-  switch (type) {
-    case GateType::Not:
-    case GateType::And2:
-    case GateType::Or2:
-    case GateType::Xor2:
-    case GateType::Nand2:
-    case GateType::Nor2:
-    case GateType::Xnor2:
-    case GateType::And3:
-    case GateType::Or3:
-    case GateType::Xor3:
-    case GateType::Maj3:
-      return true;
-    default:
-      return false;  // DFFs, T1 parts, PIs, constants never match (wrong support)
-  }
-}
-
 /// Spine DFFs a landing chain from stage \p sd to exact stage \p t adds when
 /// the producer already keeps a spine of \p ext DFFs for its surviving
 /// consumers. A misaligned chain's dedicated landing DFF is not charged (the
@@ -240,7 +221,7 @@ T1DetectionStats detect_round(Network& net, const CostModel& model,
   // -- Group matching cuts by their (sorted) leaf triple. ----------------------
   std::map<std::array<NodeId, 3>, std::vector<Match>> groups;
   for (const NodeId id : net.topo_order()) {
-    if (!is_candidate_root(net.node(id).type)) continue;
+    if (!is_logic_cell(net.node(id).type)) continue;
     for (const Cut& cut : cuts[id]) {
       if (cut.num_leaves != 3) continue;
       // A constant leaf would inject its fixed value as pulses into the

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -236,6 +237,39 @@ BlifModel parse_blif(std::istream& is) {
   return model;
 }
 
+/// The logic cell that computes the function of cover \p r over its inputs
+/// in the listed order, if one does: the cover's truth table is compared with
+/// every logic cell of the record's arity. This reads `write_blif`'s own
+/// covers back as their cells, whatever the order of their cubes.
+std::optional<GateType> cover_cell(const BlifNames& r) {
+  const std::size_t k = r.inputs.size();
+  if (k > 3) return std::nullopt;
+  uint64_t table = 0;  // bit m: the cover's value when input i carries bit i of m
+  for (unsigned m = 0; m < (1u << k); ++m) {
+    for (const std::string& cube : r.cubes) {
+      bool hit = true;
+      for (std::size_t i = 0; i < k && hit; ++i) {
+        hit = cube[i] == '-' || (cube[i] == '0') != (((m >> i) & 1u) != 0);
+      }
+      if (hit) {
+        table |= uint64_t{1} << m;
+        break;
+      }
+    }
+  }
+  // Input i as a truth table over three variables, and the mask of the k used.
+  constexpr uint64_t kVar[3] = {0xAA, 0xCC, 0xF0};
+  const uint64_t mask = (uint64_t{1} << (1u << k)) - 1;
+  for (uint8_t t = 0; t <= static_cast<uint8_t>(GateType::T1Port); ++t) {
+    const auto type = static_cast<GateType>(t);
+    if (is_logic_cell(type) && gate_arity(type) == k &&
+        (Network::eval_word(type, T1PortFn::Sum, kVar[0], kVar[1], kVar[2]) & mask) == table) {
+      return type;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 Network read_blif(std::istream& is) {
@@ -273,13 +307,18 @@ Network read_blif(std::istream& is) {
         NodeId out;
         if (r.inputs.empty()) {
           out = r.cubes.empty() ? net.get_const0() : net.get_const1();
+        } else if (std::any_of(r.cubes.begin(), r.cubes.end(), [&](const std::string& cube) {
+                     return cube.size() != r.inputs.size();
+                   })) {
+          throw ParseError("read_blif: cube width mismatch");
+        } else if (const std::optional<GateType> cell = cover_cell(r)) {
+          std::vector<NodeId> fanins;
+          for (const auto& in : r.inputs) fanins.push_back(sig[in]);
+          out = net.add_gate(*cell, fanins);
         } else {
           // Sum of products over the cube rows.
           NodeId acc = kNullNode;
           for (const auto& cube : r.cubes) {
-            if (cube.size() != r.inputs.size()) {
-              throw ParseError("read_blif: cube width mismatch");
-            }
             NodeId prod = kNullNode;
             for (std::size_t i = 0; i < cube.size(); ++i) {
               if (cube[i] == '-') continue;

@@ -3,10 +3,13 @@
 /// \brief BLIF reader/writer and structural Verilog writer.
 ///
 /// BLIF is the interchange format of the academic synthesis ecosystem the
-/// paper builds on (ABC / mockturtle). The writer emits one `.names` or
-/// `.gate`-style record per cell; T1 cells are exported as `.subckt t1`
-/// instances so netlists survive a round trip. The reader accepts the subset
-/// this library writes plus plain `.names` cubes with single-output covers.
+/// paper builds on (ABC / mockturtle). The writer emits one `.names` record
+/// per logic cell, and `.subckt dff` / `.subckt t1` instances for DFFs and T1
+/// cells. The reader accepts the subset this library writes plus plain
+/// `.names` cubes with single-output covers. A cover of at most three inputs
+/// that computes a logic cell's function is read back as that cell, so a
+/// netlist survives a round trip cell for cell; any other cover becomes an
+/// And/Or/Not sum of products.
 
 #include <iosfwd>
 #include <string>
@@ -20,8 +23,8 @@ namespace t1sfq {
 void write_blif(const Network& net, std::ostream& os);
 void write_blif_file(const Network& net, const std::string& path);
 
-/// Reads a BLIF model. Supports `.model/.inputs/.outputs/.names/.subckt t1/
-/// .end`, cube covers with don't-cares (`-`), and multi-cube ORs.
+/// Reads a BLIF model. Supports `.model/.inputs/.outputs/.names/.subckt dff/
+/// .subckt t1/.end`, cube covers with don't-cares (`-`), and multi-cube ORs.
 Network read_blif(std::istream& is);
 Network read_blif_file(const std::string& path);
 

@@ -92,27 +92,6 @@ unsigned gate_arity(GateType type) {
   return 0;
 }
 
-bool is_clocked(GateType type) {
-  switch (type) {
-    case GateType::Not:
-    case GateType::And2:
-    case GateType::Or2:
-    case GateType::Xor2:
-    case GateType::Nand2:
-    case GateType::Nor2:
-    case GateType::Xnor2:
-    case GateType::And3:
-    case GateType::Or3:
-    case GateType::Xor3:
-    case GateType::Maj3:
-    case GateType::Dff:
-    case GateType::T1:
-      return true;
-    default:
-      return false;
-  }
-}
-
 NodeId Network::add_pi(const std::string& name) {
   Node n;
   n.type = GateType::Pi;

@@ -69,9 +69,33 @@ const char* to_string(T1PortFn fn);
 
 /// Number of data fanins a gate of this type takes.
 unsigned gate_arity(GateType type);
-/// True for cells that consume a clock phase (all logic gates, DFFs and T1
+/// True for the eleven logic cells: Not and the two- and three-input gates.
+/// These are what T1 detection roots cuts at, what the optimizer and the
+/// partitioner restructure, and what `read_blif` rebuilds a matching cover
+/// as; PIs, constants, Buf (a JTL), DFFs and T1 parts are not logic cells.
+inline bool is_logic_cell(GateType type) {
+  switch (type) {
+    case GateType::Not:
+    case GateType::And2:
+    case GateType::Or2:
+    case GateType::Xor2:
+    case GateType::Nand2:
+    case GateType::Nor2:
+    case GateType::Xnor2:
+    case GateType::And3:
+    case GateType::Or3:
+    case GateType::Xor3:
+    case GateType::Maj3:
+      return true;
+    default:
+      return false;
+  }
+}
+/// True for cells that consume a clock phase (the logic cells, DFFs and T1
 /// bodies; Buf is a JTL and splitters/taps are passive).
-bool is_clocked(GateType type);
+inline bool is_clocked(GateType type) {
+  return is_logic_cell(type) || type == GateType::Dff || type == GateType::T1;
+}
 /// True for Const0/Const1: a constant fires no pulses, so it needs no DFF
 /// spine and cannot feed a T1 body.
 inline bool is_constant(GateType type) {
@@ -99,9 +123,10 @@ struct Node {
   NodeId fanin(unsigned i) const { return fanins[i]; }
 };
 
-/// A gate-level network. Nodes are stored in creation order, which is a
-/// topological order (fanins are always created before fanouts); passes may
-/// mark nodes dead, and `cleanup()` produces a compacted copy.
+/// A gate-level network. Nodes are stored in creation order; the builders
+/// create fanins before fanouts, but point edits (`set_fanin`, `substitute`)
+/// may redirect a node to a later one, so `topo_order()` is the order to rely
+/// on. Passes may mark nodes dead, and `cleanup()` produces a compacted copy.
 class Network {
 public:
   Network() = default;
@@ -168,7 +193,11 @@ public:
 
   // -- Analysis ---------------------------------------------------------------
 
-  /// Live nodes in topological order (creation order filtered by liveness).
+  /// Live nodes in topological order: a depth-first search from each live
+  /// node in id order that emits fanins first. Creation order alone is not
+  /// enough, because `set_fanin`, `substitute` and incremental `replace` can
+  /// point a node at one created after it. On a network whose fanins all
+  /// precede their fanouts the result is id order.
   std::vector<NodeId> topo_order() const;
   /// Fanout counts of live nodes (POs count as one fanout each).
   std::vector<uint32_t> fanout_counts() const;

@@ -57,7 +57,7 @@ std::size_t CutRewritingPass::run(Network& net) {
   uint64_t abandoned = 0;
   for (const NodeId root : net.topo_order()) {
     if (net.is_dead(root) || replaced_by[root] != kNullNode) continue;
-    if (!is_opt_gate(net.node(root).type)) continue;
+    if (!is_logic_cell(net.node(root).type)) continue;
     if (view.fanout(root) == 0) continue;  // dangling (e.g. interior of a prior commit)
 
     struct Candidate {
@@ -83,7 +83,7 @@ std::size_t CutRewritingPass::run(Network& net) {
       // that contains timing or T1 cells.
       bool clean = true;
       for (const NodeId id : cone) {
-        if (!is_opt_gate(net.node(id).type)) {
+        if (!is_logic_cell(net.node(id).type)) {
           clean = false;
           break;
         }

@@ -9,25 +9,6 @@
 
 namespace t1sfq {
 
-bool is_opt_gate(GateType type) {
-  switch (type) {
-    case GateType::Not:
-    case GateType::And2:
-    case GateType::Or2:
-    case GateType::Xor2:
-    case GateType::Nand2:
-    case GateType::Nor2:
-    case GateType::Xnor2:
-    case GateType::And3:
-    case GateType::Or3:
-    case GateType::Xor3:
-    case GateType::Maj3:
-      return true;
-    default:
-      return false;
-  }
-}
-
 OptSummary PassManager::run(Network& net) {
   OptSummary summary;
   // Pass k's after-network is pass k+1's before-network: N passes visit N+1

@@ -158,8 +158,4 @@ private:
 /// nothing to optimize.
 OptSummary optimize(Network& net, const CostModel& model, const OptParams& params = {});
 
-/// True for the plain clocked logic cells the optimizer may restructure
-/// (excludes PIs/constants, wiring cells, DFFs and committed T1 regions).
-bool is_opt_gate(GateType type);
-
 }  // namespace t1sfq

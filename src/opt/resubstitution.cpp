@@ -111,9 +111,9 @@ std::size_t ResubstitutionPass::run(Network& net) {
   for (NodeId target = 0; target < n0; ++target) {
     const Node& tn = net.node(target);
     const bool donor_type =
-        tn.type == GateType::Pi || is_constant(tn.type) || is_opt_gate(tn.type);
+        tn.type == GateType::Pi || is_constant(tn.type) || is_logic_cell(tn.type);
 
-    if (alive[target] && is_opt_gate(tn.type) && view.fanout(target) > 0) {
+    if (alive[target] && is_logic_cell(tn.type) && view.fanout(target) > 0) {
       // Gather signature-equal donors, plain and complemented.
       struct Candidate {
         NodeId donor;
@@ -127,7 +127,7 @@ std::size_t ResubstitutionPass::run(Network& net) {
       const std::vector<NodeId> dying = mffc(net, target, view.fanouts());
       bool cone_clean = true;
       for (const NodeId d : dying) {
-        if (!is_opt_gate(net.node(d).type)) {
+        if (!is_logic_cell(net.node(d).type)) {
           cone_clean = false;
           break;
         }

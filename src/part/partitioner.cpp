@@ -72,7 +72,7 @@ Partition partition_network(const Network& net, const PartitionParams& params) {
   };
 
   for (const NodeId id : cone_order(net)) {
-    if (!is_opt_gate(net.node(id).type)) {
+    if (!is_logic_cell(net.node(id).type)) {
       // Fanin-less cells (PIs, constants) are transparent to the contiguity
       // argument; anything else (DFF, T1, T1Port, raw Buf) is a barrier.
       if (net.node(id).num_fanins > 0) {

@@ -3,7 +3,7 @@
 /// \brief Region partitioning of a network for partition-parallel optimization.
 ///
 /// The partitioner splits the live network into *regions*: disjoint sets of
-/// optimizable gates (`is_opt_gate`) that the shard runner can restructure
+/// optimizable gates (`is_logic_cell`) that the shard runner can restructure
 /// concurrently and merge back conflict-free. Regions are built by cone
 /// clustering: an iterative DFS post-order from the POs groups each output
 /// cone's logic together, and the resulting topological order is sliced into

@@ -33,7 +33,7 @@ namespace t1sfq::service {
 uint64_t fnv1a(const std::string& data, uint64_t h = 0xcbf29ce484222325ull);
 
 /// Exact-state hash of a network (see file comment). Dead nodes excluded —
-/// they are invisible to `cleanup()` and thus to the flow.
+/// compaction drops them, so the flow never sees them.
 uint64_t exact_signature(const Network& net);
 
 /// Id-independent canonical serialization of a physical netlist + schedule.

@@ -87,24 +87,24 @@ bool Server::cache_get_(uint64_t key, FlowResponse& resp) {
     return false;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (cfg_.cache_entries > 0 && cache_.find(key) == cache_.end()) {
-    lru_.push_front(key);
-    cache_[key] = {resp, lru_.begin()};
-  }
+  remember_(key, resp);
   return true;
+}
+
+void Server::remember_(uint64_t key, const FlowResponse& resp) {
+  if (cfg_.cache_entries == 0 || cache_.find(key) != cache_.end()) return;
+  lru_.push_front(key);
+  cache_[key] = {resp, lru_.begin()};
+  while (cache_.size() > cfg_.cache_entries) {
+    cache_.erase(lru_.back());
+    lru_.pop_back();
+  }
 }
 
 void Server::cache_put_(uint64_t key, const FlowResponse& resp) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (cfg_.cache_entries > 0 && cache_.find(key) == cache_.end()) {
-      lru_.push_front(key);
-      cache_[key] = {resp, lru_.begin()};
-      while (cache_.size() > cfg_.cache_entries) {
-        cache_.erase(lru_.back());
-        lru_.pop_back();
-      }
-    }
+    remember_(key, resp);
   }
   if (!disk_dir_.empty()) {
     const std::string payload = encode_response(resp);

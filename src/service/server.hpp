@@ -97,6 +97,9 @@ class Server {
   FlowResponse cached_flow_(const FlowRequest& request, const Network& clean, uint64_t key);
   bool cache_get_(uint64_t key, FlowResponse& resp);
   void cache_put_(uint64_t key, const FlowResponse& resp);
+  /// Inserts into the in-memory LRU, evicting past `cache_entries`; the
+  /// caller holds `mu_`.
+  void remember_(uint64_t key, const FlowResponse& resp);
   std::string disk_path_(uint64_t key) const;
 
   ServerConfig cfg_;

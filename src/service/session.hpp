@@ -91,11 +91,11 @@ class EcoSession {
   const std::string& id() const { return id_; }
 
   /// Serves one request against this session; \p clean is the request's
-  /// network after `cleanup()` and \p key its cache key (server.hpp). First
-  /// contact (and every fallback) establishes cold state; an unchanged
-  /// resubmission serves the held result as Warm; an eligible edit serves as
-  /// Eco. The response carries no cache key (the server stamps it). Never
-  /// throws — failures come back as structured error responses.
+  /// network as the server compacted it and \p key its cache key
+  /// (server.hpp). First contact (and every fallback) establishes cold state;
+  /// an unchanged resubmission serves the held result as Warm; an eligible
+  /// edit serves as Eco. The response carries no cache key (the server stamps
+  /// it). Never throws — failures come back as structured error responses.
   SessionServe serve(const FlowRequest& request, Network clean, uint64_t key,
                      const SessionConfig& cfg);
 

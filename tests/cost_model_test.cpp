@@ -93,7 +93,8 @@ TEST(CostModel, PhysicalBreakdownMatchesTheFlowArea) {
   p.clk.phases = 4;
   const FlowResult res = run_flow(net, p);
   EXPECT_EQ(res.metrics.breakdown.total(), res.metrics.area_jj);
-  EXPECT_EQ(physical_area_jj(res.physical, p.lib, p.area), res.metrics.area_jj);
+  EXPECT_EQ(p.cost().physical_breakdown(res.physical.net, res.physical.num_splitters).total(),
+            res.metrics.area_jj);
   // DFF bucket is exactly the materialized DFF bodies.
   EXPECT_EQ(res.metrics.breakdown.dff, res.metrics.num_dffs * p.lib.jj_dff);
   // Per-stage estimates are populated and the chain in -> opt is monotone

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "benchmarks/random_net.hpp"
+#include "benchmarks/suite.hpp"
 #include "network/simulation.hpp"
 
 namespace t1sfq {
@@ -88,6 +90,65 @@ TEST(BlifIo, T1RoundTrip) {
   const Network back = round_trip(net);
   EXPECT_EQ(back.count_of(GateType::T1), 1u);
   EXPECT_TRUE(random_simulation_equal(net, back));
+}
+
+std::string blif_text(const Network& net) {
+  std::ostringstream ss;
+  write_blif(net, ss);
+  return ss.str();
+}
+
+/// The first line where \p a and \p b differ ("" when equal): a short
+/// message instead of gtest's quadratic diff of two whole netlists.
+std::string first_difference(const std::string& a, const std::string& b) {
+  std::istringstream sa(a), sb(b);
+  std::string la, lb;
+  for (std::size_t line = 1;; ++line) {
+    const bool end_a = !std::getline(sa, la);
+    const bool end_b = !std::getline(sb, lb);
+    if (end_a && end_b) return {};
+    if (end_a || end_b || la != lb) {
+      return "line " + std::to_string(line) + ": '" + la + "' vs '" + lb + "'";
+    }
+  }
+}
+
+TEST(BlifIo, WrittenNetlistsReadBackCellForCell) {
+  // Every `.names` record the writer emits reads back as the cell it came
+  // from, so a cleaned network's BLIF is a fixed point of read-then-write.
+  std::vector<Network> nets;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    nets.push_back(bench::random_network(seed, 64, 1000, bench::RandomPoPolicy::AllSinks,
+                                         /*plant_cone_every=*/200));
+  }
+  for (uint64_t seed = 0; seed < 6; ++seed) {  // the rand-default workload's shape
+    nets.push_back(bench::random_network(seed, 125, 2000, bench::RandomPoPolicy::AllSinks,
+                                         /*plant_cone_every=*/24));
+  }
+  for (const auto& bc : bench::make_suite()) nets.push_back(bc.generate());
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    SCOPED_TRACE("network " + std::to_string(i) + " " + nets[i].name());
+    const std::string text = blif_text(nets[i].cleanup());
+    std::istringstream is(text);
+    EXPECT_EQ(first_difference(text, blif_text(read_blif(is))), "");
+  }
+}
+
+TEST(BlifIo, ReadsCellCoversAsCellsInAnyCubeOrder) {
+  const auto read_one = [](const std::string& inputs, const std::string& cover) {
+    std::istringstream is(".model m\n.inputs " + inputs + "\n.outputs y\n.names " + inputs +
+                          " y\n" + cover + ".end\n");
+    const Network net = read_blif(is);
+    return net.node(net.po(0)).type;
+  };
+  EXPECT_EQ(read_one("a b c", "11- 1\n1-1 1\n-11 1\n"), GateType::Maj3);
+  EXPECT_EQ(read_one("a b c", "-11 1\n11- 1\n1-1 1\n"), GateType::Maj3);
+  EXPECT_EQ(read_one("a b c", "111 1\n001 1\n010 1\n100 1\n"), GateType::Xor3);
+  EXPECT_EQ(read_one("a b", "-0 1\n0- 1\n"), GateType::Nand2);
+  EXPECT_EQ(read_one("a b", "00 1\n11 1\n"), GateType::Xnor2);
+  EXPECT_EQ(read_one("a", "0 1\n"), GateType::Not);
+  // A cover no cell computes keeps the sum-of-products structure.
+  EXPECT_EQ(read_one("a b c", "11- 1\n--1 1\n"), GateType::Or2);
 }
 
 TEST(BlifIo, PoFedByPiRoundTrip) {

@@ -80,14 +80,14 @@ void check_partition_invariants(const Network& net, const Partition& p) {
     ASSERT_FALSE(p.regions[r].members.empty());
     for (const NodeId m : p.regions[r].members) {
       ASSERT_FALSE(net.is_dead(m));
-      ASSERT_TRUE(is_opt_gate(net.node(m).type));
+      ASSERT_TRUE(is_logic_cell(net.node(m).type));
       ASSERT_EQ(owner[m], Partition::kNoRegion) << "node in two regions";
       owner[m] = static_cast<uint32_t>(r);
     }
   }
   for (NodeId id = 0; id < net.size(); ++id) {
     ASSERT_EQ(owner[id], p.region_of[id]);
-    if (!net.is_dead(id) && is_opt_gate(net.node(id).type)) {
+    if (!net.is_dead(id) && is_logic_cell(net.node(id).type)) {
       ASSERT_NE(owner[id], Partition::kNoRegion) << "uncovered opt gate " << id;
     }
   }

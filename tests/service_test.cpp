@@ -427,6 +427,33 @@ TEST(ServiceServer, WarmHitReturnsTheColdNetlist) {
   EXPECT_TRUE(bare.netlist_blif.empty());
 }
 
+TEST(ServiceServer, DiskHitsStayWithinTheMemoryCapacity) {
+  // A warm hit read from a disk blob enters the in-memory LRU like a cold
+  // result does, evicting past `cache_entries`.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "t1sfq_service_test_capacity";
+  fs::remove_all(dir);
+  const char* old = std::getenv("T1SFQ_CACHE_DIR");
+  const std::string saved = old ? old : "";
+  ::setenv("T1SFQ_CACHE_DIR", dir.string().c_str(), 1);
+  {
+    Server server(ServerConfig{.cache_entries = 1});
+    const FlowRequest a = request_for(tiny_net());
+    const FlowRequest b = request_for(sparse_random(200));
+    ASSERT_EQ(server.dispatch(a).tier, FlowTier::Cold);
+    ASSERT_EQ(server.dispatch(b).tier, FlowTier::Cold);  // evicts a from memory
+    ASSERT_EQ(server.dispatch(a).tier, FlowTier::Warm);  // from disk; evicts b
+    fs::remove_all(dir);
+    EXPECT_EQ(server.dispatch(b).tier, FlowTier::Cold) << "memory held two entries";
+  }
+  if (old) {
+    ::setenv("T1SFQ_CACHE_DIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("T1SFQ_CACHE_DIR");
+  }
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Batch + transport
 // ---------------------------------------------------------------------------
@@ -498,6 +525,35 @@ TEST(ServiceServer, BlifIngestFlowExportRoundTrip) {
   // cells must survive the round-trip exactly.
   EXPECT_EQ(phys.count_of(GateType::Dff), r.metrics.num_dffs);
   EXPECT_EQ(phys.num_gates(), r.metrics.num_gates + r.metrics.num_dffs);
+}
+
+TEST(ServiceServer, WireRequestMapsTheCircuitTheClientSent) {
+  // The request's BLIF reads back as the client's own cells, so the daemon
+  // answers a wire request with the in-process binding's metrics.
+  std::vector<Network> nets;
+  for (const auto& bc : bench::make_suite_scaled(4)) nets.push_back(bc.generate());
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    nets.push_back(bench::random_network(seed, 32, 500, bench::RandomPoPolicy::AllSinks,
+                                         /*plant_cone_every=*/200));
+  }
+  Server server(ServerConfig{.disk_cache = false});
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    SCOPED_TRACE("network " + std::to_string(i) + " " + nets[i].name());
+    const FlowRequest req = request_for(nets[i]);
+    const FlowResponse typed = run_flow(req);
+    const FlowResponse wire =
+        service::parse_response(server.handle(service::encode_flow_request(req)));
+    ASSERT_TRUE(typed.ok) << typed.message;
+    ASSERT_TRUE(wire.ok) << wire.message;
+    EXPECT_EQ(wire.tier, FlowTier::Cold);
+    EXPECT_EQ(wire.metrics.pre_opt_gates, typed.metrics.pre_opt_gates);
+    EXPECT_EQ(wire.metrics.num_gates, typed.metrics.num_gates);
+    EXPECT_EQ(wire.metrics.num_dffs, typed.metrics.num_dffs);
+    EXPECT_EQ(wire.metrics.num_splitters, typed.metrics.num_splitters);
+    EXPECT_EQ(wire.metrics.area_jj, typed.metrics.area_jj);
+    EXPECT_EQ(wire.metrics.depth_cycles, typed.metrics.depth_cycles);
+    EXPECT_EQ(wire.metrics.t1_used, typed.metrics.t1_used);
+  }
 }
 
 TEST(ServiceServer, WarmCacheSurvivesRestartViaDiskBlobs) {
